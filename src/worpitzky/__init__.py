@@ -1,4 +1,4 @@
-"""Exact enumeration engine for Eulerian numbers of Coxeter types A/B/D,
+"""Exact engine for Eulerian numbers of Coxeter types A/B/D,
 their q-analogues, and Worpitzky-type identities over signed and
 even-signed permutations."""
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from . import map_b, map_d, oeis
 from .eulerian import eulerian_row
-from .exactnum import QPolynomial
 from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
 from .sigma_vectors import parse_vector
 
@@ -98,10 +97,6 @@ def default_jobs() -> int:
         return 1
 
 
-def poly_text(p) -> str:
-    return str(p) if isinstance(p, QPolynomial) else str(p)
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 def cmd_eulerian(args, cfg: RunConfig) -> int:
@@ -147,24 +142,24 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     elif cfg.fmt == "csv":
         print("identity,n,m,lhs,rhs,pass")
         for r in reports:
-            print(f"{r.identity},{r.n},{r.m},{poly_text(r.lhs)},{poly_text(r.rhs)},{r.passed}")
+            print(f"{r.identity},{r.n},{r.m},{r.lhs},{r.rhs},{r.passed}")
     else:
         for r in reports:
             if r.identity == "erratum-d":
                 status = "CONFIRMED" if r.passed else "NOT CONFIRMED"
                 print(
-                    f"erratum-d n={r.n} m={r.m}: {status}  printed={poly_text(r.lhs)} "
-                    f"rhs={poly_text(r.rhs)} (at q=1: {r.extras['printed_at_q1']} "
+                    f"erratum-d n={r.n} m={r.m}: {status}  printed={r.lhs} "
+                    f"rhs={r.rhs} (at q=1: {r.extras['printed_at_q1']} "
                     f"vs {r.extras['rhs_at_q1']})"
                 )
             else:
                 status = "PASS" if r.passed else "FAIL"
                 line = (
                     f"{r.identity} n={r.n} m={r.m}: {status}  "
-                    f"lhs={poly_text(r.lhs)} rhs={poly_text(r.rhs)}"
+                    f"lhs={r.lhs} rhs={r.rhs}"
                 )
                 if "brute" in r.extras:
-                    line += f" brute={poly_text(r.extras['brute'])}"
+                    line += f" brute={r.extras['brute']}"
                 print(line)
     return 0 if ok else 1
 
@@ -328,7 +323,7 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--vector", "--sigma") and i + 1 < len(argv):
+        if tok in ("--vector", "--sigma", "--n-range", "--m-range") and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -1,9 +1,11 @@
 """Eulerian numbers of types A, B, D and their q-analogues.
 
-Every row is computed by exhaustive enumeration of the group — no
-recurrence or closed form is assumed anywhere; the enumeration is the
-trusted oracle.  Rows are memoized per (type, n) since the identity
-checks query them repeatedly across m values.
+Every row comes from one transfer DP shared by the three types
+(``_transfer_row``), which takes O(n^4) steps.  Enumerating the whole group
+(``enumerated_row``) is kept as the oracle the DP is tested against for
+n <= 7; beyond that the tests check the DP rows against the closed-form
+sides of the Worpitzky identities.  Rows are memoized per (type, n) since
+the identity checks query them repeatedly across m values.
 
 Type A entries count permutations by descents.  Type B refines the count
 of signed permutations with k type-B descents by q^neg, type D the count
@@ -17,6 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .exactnum import QPolynomial
 from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn, enumerate_sn
@@ -62,46 +65,106 @@ def _tally(elements, des_of, weight_of, n: int, k_max: int) -> tuple[QPolynomial
     return tuple(QPolynomial(c) for c in counts)
 
 
+def _check_n(group: str, n: int) -> None:
+    if group not in ("A", "B", "D"):
+        raise ValueError(f"unknown type {group!r}")
+    least = 2 if group == "D" else 1
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
+
+
+def enumerated_row(group: str, n: int) -> EulerianRow:
+    """The type-``group`` row by enumerating the whole group: the oracle
+    the transfer DP is tested against."""
+    _check_n(group, n)
+    if group == "A":
+        elements = (SignedPermutation(p) for p in enumerate_sn(n))
+        entries = _tally(elements, SignedPermutation.des_a, SignedPermutation.neg, n, n - 1)
+    elif group == "B":
+        entries = _tally(enumerate_bn(n), SignedPermutation.des_b, SignedPermutation.neg, n, n)
+    else:
+        entries = _tally(enumerate_dn(n), SignedPermutation.des_d, SignedPermutation.neg2, n, n)
+    return EulerianRow(group, n, entries)
+
+
+def _descends(s: int, t: int, up: bool) -> bool:
+    """Whether s*a > t*b for signs s, t and distinct absolute values a, b,
+    where ``up`` says b > a."""
+    return s > t if s != t else up == (s < 0)
+
+
+def _transfer_row(group: str, n: int) -> EulerianRow:
+    """The type-``group`` row by a transfer DP that builds the window left to right.
+
+    A state is (first sign, last sign, rank of the last absolute value among
+    the i placed).  Each state holds a tally whose cell d*w + k counts the
+    prefixes with d descents and k negative entries after the first.  A
+    descent between neighbours depends only on their signs and on whether
+    the new absolute value ranks above the previous one, so the ranks
+    carry all the DP needs.  Position 0 is a type-B descent when sigma_1 < 0
+    and a type-D descent when -sigma_1 > sigma_2, which is settled when the
+    second entry is placed.  Type A is the same DP with positive signs only.
+    """
+    _check_n(group, n)
+    signs = (1,) if group == "A" else (1, -1)
+    w = n + 1
+    cells = w * w
+    # (first sign, last sign) -> one tally per rank of the last absolute value
+    layer = {}
+    for s in signs:
+        tally = [0] * cells
+        tally[w if group == "B" and s < 0 else 0] = 1
+        layer[s, s] = [tally]
+    for i in range(1, n):  # place entry i + 1
+        nxt = {(f, t): [[0] * cells for _ in range(i + 1)] for f in signs for t in signs}
+        for (first, last), tallies in layer.items():
+            total = list(map(sum, zip(*tallies)))
+            lower = [0] * cells  # states whose last value ranks below the new one
+            for r in range(i + 1):  # rank of its absolute value among the i + 1 placed
+                if r:
+                    lower = list(map(add, lower, tallies[r - 1]))
+                higher = list(map(sub, total, lower))
+                for t in signs:
+                    for up, src in ((True, lower), (False, higher)):
+                        d = _descends(last, t, up)
+                        if group == "D" and i == 1:
+                            d += _descends(-first, t, up)
+                        shift = d * w + (t < 0)
+                        acc = nxt[first, t][r]
+                        acc[shift:] = map(add, acc[shift:], src)
+        layer = nxt
+
+    # type A has no position 0, so its row ends at k = n - 1
+    counts = [[0] * w for _ in range(n if group == "A" else w)]
+    for (first, _), tallies in layer.items():
+        negative_first = first < 0
+        for cell, c in enumerate(map(sum, zip(*tallies))):
+            if not c:
+                continue
+            des, neg2 = divmod(cell, w)
+            if group != "D":
+                counts[des][neg2 + negative_first] += c
+            elif (negative_first + neg2) % 2 == 0:
+                counts[des][neg2] += c
+    return EulerianRow(group, n, tuple(QPolynomial(c) for c in counts))
+
+
 @lru_cache(maxsize=None)
 def eulerian_row_a(n: int) -> EulerianRow:
     """Type-A row: entries[k] = #{pi in S_n : des(pi) = k}, k in [0, n-1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    counts = [0] * n
-    for perm in enumerate_sn(n):
-        des = sum(1 for i in range(n - 1) if perm[i] > perm[i + 1])
-        counts[des] += 1
-    return EulerianRow("A", n, tuple(QPolynomial((c,)) for c in counts))
+    return _transfer_row("A", n)
 
 
 @lru_cache(maxsize=None)
 def eulerian_row_b_q(n: int) -> EulerianRow:
     """Type-B row: entries[k] = sum of q^neg over sigma with des_B = k."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    entries = _tally(
-        enumerate_bn(n),
-        SignedPermutation.des_b,
-        SignedPermutation.neg,
-        n,
-        n,
-    )
-    return EulerianRow("B", n, entries)
+    return _transfer_row("B", n)
 
 
 @lru_cache(maxsize=None)
 def eulerian_row_d_q(n: int) -> EulerianRow:
     """Type-D row: entries[k] = sum of q^neg2 over sigma with des_D = k."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    entries = _tally(
-        enumerate_dn(n),
-        SignedPermutation.des_d,
-        SignedPermutation.neg2,
-        n,
-        n,
-    )
-    return EulerianRow("D", n, entries)
+    return _transfer_row("D", n)
 
 
 def eulerian_row(group: str, n: int) -> EulerianRow:

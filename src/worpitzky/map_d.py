@@ -72,6 +72,12 @@ class MapOutcome:
         return self.sigma.format() + (" (flipped)" if self.flipped else "")
 
 
+def _check_single_zero(v) -> None:
+    """A vector missed at position 0 holds at most one zero."""
+    if tuple(v).count(0) > 1:
+        raise ArithmeticError(f"missing vector {tuple(v)} holds more than one zero")
+
+
 def psi(v, m: int | None = None) -> MapOutcome:
     """Associate a vector with an even-signed permutation, or classify it."""
     if len(v) < 2:
@@ -89,17 +95,18 @@ def psi(v, m: int | None = None) -> MapOutcome:
 
     if parity_even:
         if 0 in sigma.des_d_set():
-            assert tuple(v).count(0) <= 1
+            _check_single_zero(v)
             return MapOutcome.missing("case3")
         return MapOutcome.associate(sigma)
 
     flipped = sigma.flip_first()
     if 0 in flipped.des_d_set():
-        assert tuple(v).count(0) <= 1
+        _check_single_zero(v)
         w = sigma.window
         if abs(w[0]) > abs(w[1]):
             return MapOutcome.missing("case2a")
-        assert flipped.window[1] < 0
+        if flipped.window[1] > 0:
+            raise ArithmeticError(f"case2b vector {tuple(v)} has a positive second entry")
         return MapOutcome.missing("case2b")
     return MapOutcome.associate(flipped, flipped=True)
 

@@ -27,9 +27,6 @@ class SequenceSpec:
     min_n: int
     computed_row: Callable[[int], tuple[int, ...]]
 
-    def row_length(self, n: int) -> int:
-        return n + 1
-
 
 SEQUENCES = {
     "A060187": SequenceSpec(
@@ -74,7 +71,7 @@ def rows_from_values(
     rows = {}
     pos = offset
     for n in range(spec.min_n, max_n + 1):
-        width = spec.row_length(n)
+        width = n + 1
         if pos + width > len(values):
             raise ValueError(
                 f"{spec.seq_id} data has only {len(values)} values, "
@@ -151,7 +148,11 @@ def check_sequence(
         except Exception as exc:  # noqa: BLE001 - any fetch failure falls back
             warning = f"fetch failed ({exc}); falling back to bundled fixture"
     elif bfile_path is not None:
-        text = open(bfile_path, encoding="utf-8").read()
+        try:
+            with open(bfile_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read b-file: {exc}") from None
         source = "file"
     if text is None:
         text = load_fixture(seq_id)

@@ -118,25 +118,29 @@ def identity(n: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(1, n + 1)))
 
 
-def enumerate_bn(n: int) -> Iterator[SignedPermutation]:
-    """All 2^n n! signed permutations, lexicographic on (permutation, sign mask)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _signed_windows(n: int, masks) -> Iterator[SignedPermutation]:
+    """Each permutation of 1..n under each sign mask (bit i negates entry i)."""
     for perm in itertools.permutations(range(1, n + 1)):
-        for mask in range(1 << n):
+        for mask in masks:
             window = tuple(
                 -p if (mask >> i) & 1 else p for i, p in enumerate(perm)
             )
             yield SignedPermutation(window)
 
 
+def enumerate_bn(n: int) -> Iterator[SignedPermutation]:
+    """All 2^n n! signed permutations, lexicographic on (permutation, sign mask)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _signed_windows(n, range(1 << n))
+
+
 def enumerate_dn(n: int) -> Iterator[SignedPermutation]:
     """All 2^(n-1) n! even-signed permutations, same order as enumerate_bn."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    for sigma in enumerate_bn(n):
-        if sigma.is_in_dn():
-            yield sigma
+    even_masks = [mask for mask in range(1 << n) if bin(mask).count("1") % 2 == 0]
+    return _signed_windows(n, even_masks)
 
 
 def enumerate_sn(n: int) -> Iterator[Sequence[int]]:

@@ -45,6 +45,11 @@ def test_eulerian_csv(capsys):
     assert rows == [["k", "q^0", "q^1"], ["0", "1", "0"], ["1", "0", "1"]]
 
 
+def test_eulerian_type_d_beyond_enumeration(capsys):
+    code, out, _ = run(capsys, "eulerian", "--type", "D", "--n", "12", "--q")
+    assert code == 0 and out.startswith("[1],[4083,")
+
+
 def test_map_type_b(capsys):
     code, out, _ = run(
         capsys, "map", "--type", "B", "--m", "3", "--vector", "1,-2,0,-1,3,-2"
@@ -113,6 +118,16 @@ def test_verify_bad_range_is_usage_error(capsys):
         main(["verify", "--identity", "worpitzky-b", "--n-range", "5..2",
               "--m-range", "0..0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n_range,m_range", [("-1..2", "0..1"), ("1..2", "-1..1")])
+def test_verify_negative_range_is_usage_error(capsys, n_range, m_range):
+    code, out, err = run(
+        capsys, "verify", "--identity", "worpitzky-a",
+        "--n-range", n_range, "--m-range", m_range,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 1 and m >= 0\n"
 
 
 def test_verify_type_d_needs_n_at_least_two(capsys):
@@ -196,6 +211,16 @@ def test_oeis_check_mismatch_exits_one(capsys, tmp_path):
         "--bfile", str(bad),
     )
     assert code == 1 and "MISMATCH" in out
+
+
+def test_oeis_check_missing_bfile_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run(
+        capsys, "oeis-check", "--seq", "A060187", "--max-n", "3",
+        "--bfile", str(missing),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read b-file") and err.count("\n") == 1
 
 
 def test_oeis_fetch_fallback_warns(capsys):

@@ -8,12 +8,15 @@ import math
 import pytest
 
 from worpitzky.eulerian import (
+    enumerated_row,
     eulerian_row,
     eulerian_row_a,
     eulerian_row_b_q,
     eulerian_row_d_q,
 )
 from worpitzky.exactnum import QPolynomial, binom
+from worpitzky.map_b import rhs_eulerian_sum, verify_worpitzky_a
+from worpitzky.map_d import verify_worpitzky_d_q1
 
 
 def test_type_a_small_rows():
@@ -83,6 +86,10 @@ def test_dispatch_and_bounds():
         eulerian_row_d_q(1)
     with pytest.raises(ValueError):
         eulerian_row_a(0)
+    with pytest.raises(ValueError):
+        enumerated_row("E", 3)
+    with pytest.raises(ValueError):
+        enumerated_row("D", 1)
 
 
 def test_json_export():
@@ -94,3 +101,25 @@ def test_csv_export():
     rows = list(csv.reader(io.StringIO(eulerian_row_d_q(2).to_csv())))
     assert rows[0] == ["k", "q^0", "q^1"]
     assert rows[1:] == [["0", "1", "0"], ["1", "1", "1"], ["2", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "group,n",
+    [("A", n) for n in range(1, 8)] + [("B", n) for n in range(1, 8)] + [("D", n) for n in range(2, 8)],
+)
+def test_transfer_dp_equals_enumeration_oracle(group, n):
+    row, oracle = eulerian_row(group, n), enumerated_row(group, n)
+    assert len(row.entries) == len(oracle.entries)
+    for k, (got, want) in enumerate(zip(row.entries, oracle.entries)):
+        assert got == want, (group, n, k)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_transfer_dp_against_closed_forms_beyond_the_oracle(n):
+    for k in range(n + 1):
+        assert verify_worpitzky_a(n, k).passed
+    # m = 0..n pins down every entry: the C(n+m-k, n) system is triangular
+    for m in range(n + 1):
+        rhs, _ = rhs_eulerian_sum(eulerian_row_b_q(n).entries, n, m)
+        assert rhs == QPolynomial((1 + m, m)) ** n
+        assert verify_worpitzky_d_q1(n, m).passed

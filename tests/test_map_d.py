@@ -1,7 +1,11 @@
 """The partial type-D map, missing-vector census, and type-D identities."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import worpitzky
 from worpitzky.exactnum import ONE_PLUS_Q, QPolynomial
 from worpitzky.map_d import (
     erratum_report_d,
@@ -257,3 +261,11 @@ def test_erratum_report_values():
     report = erratum_report_d(2, 1)
     assert report.extras["printed_at_q1"] == 2
     assert report.extras["rhs_at_q1"] == 5
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # `python -O` strips assert statements, so invariants must raise explicitly
+    for path in sorted(Path(worpitzky.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name}: assert at lines {asserts}"

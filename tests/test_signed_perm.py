@@ -105,6 +105,11 @@ def test_dn_size(n):
     assert all(sigma.neg() % 2 == 0 for sigma in elems)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dn_keeps_the_order_of_bn(n):
+    assert list(enumerate_dn(n)) == [s for s in enumerate_bn(n) if s.is_in_dn()]
+
+
 def test_enumeration_is_deterministic():
     assert list(enumerate_bn(3)) == list(enumerate_bn(3))
 
