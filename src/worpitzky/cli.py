@@ -5,9 +5,9 @@ an (n, m) grid), ``map`` (vector to permutation), ``fibers`` (fiber
 reports), ``missing`` (missing-vector census), ``oeis-check`` (b-file
 cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 
-Output formats: plain text (default), JSON, CSV.  Worker parallelism for
-the big vector sweeps comes from --jobs or the WORPITZKY_JOBS environment
-variable; results are identical for any worker count.
+Output formats: plain text (default), JSON, CSV.  --jobs, else the
+WORPITZKY_JOBS environment variable, sets the worker count of the big vector
+sweeps (at most one per shard and CPU); results do not depend on it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import map_b, map_d, oeis
 from .eulerian import eulerian_row
@@ -35,45 +34,17 @@ class UsageError(Exception):
 D_IDENTITIES = ("worpitzky-d", "balance-d", "erratum-d")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: command, grid, type tag, output and parallelism."""
-
-    command: str
-    n_range: tuple[int, int] | None = None
-    m_range: tuple[int, int] | None = None
-    group: str | None = None
-    q_mode: bool = False
-    fmt: str = "text"
-    jobs: int = 1
-    oeis_source: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        n_range = getattr(args, "n_range", None)
-        if n_range is None and hasattr(args, "n"):
-            n_range = (args.n, args.n)
-        m_range = getattr(args, "m_range", None)
-        if m_range is None and hasattr(args, "m"):
-            m_range = (args.m, args.m)
-        cfg = cls(
-            command=args.command,
-            n_range=n_range,
-            m_range=m_range,
-            group=getattr(args, "type", None),
-            q_mode=getattr(args, "q", False),
-            fmt=getattr(args, "format", "text"),
-            jobs=max(1, getattr(args, "jobs", 1)),
-            oeis_source=getattr(args, "bfile", None) or getattr(args, "fetch", None),
-        )
-        needs_d = (
-            cfg.group == "D" and args.command in ("fibers", "eulerian")
-        ) or args.command == "missing" or getattr(args, "identity", None) in D_IDENTITIES
-        if needs_d and cfg.n_range is not None and cfg.n_range[0] < 2:
-            raise UsageError(
-                f"{getattr(args, 'identity', args.command)} requires n >= 2"
-            )
-        return cfg
+def _check_args(args) -> None:
+    """Post-validation argparse cannot express: resolve the job count and
+    require n >= 2 wherever type D is involved."""
+    if hasattr(args, "jobs"):
+        args.jobs = _job_count(args.jobs)
+    n_lo = args.n_range[0] if hasattr(args, "n_range") else getattr(args, "n", None)
+    needs_d = (
+        getattr(args, "type", None) == "D" and args.command in ("fibers", "eulerian")
+    ) or args.command == "missing" or getattr(args, "identity", None) in D_IDENTITIES
+    if needs_d and n_lo is not None and n_lo < 2:
+        raise UsageError(f"{getattr(args, 'identity', args.command)} requires n >= 2")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -89,23 +60,27 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
+def _job_count(flag: int | None) -> int:
+    """The worker count: --jobs, else WORPITZKY_JOBS, else 1."""
+    raw = os.environ.get(JOBS_ENV_VAR, "1") if flag is None else flag
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        raise UsageError(f"{JOBS_ENV_VAR}={raw!r} is not an integer") from None
+    if jobs < 1:
+        raise UsageError(f"need a job count >= 1, got {jobs}")
+    return jobs
 
 
 # -- subcommand handlers ----------------------------------------------------
 
-def cmd_eulerian(args, cfg: RunConfig) -> int:
-    row = eulerian_row(cfg.group, args.n)
-    if cfg.fmt == "json":
+def cmd_eulerian(args) -> int:
+    row = eulerian_row(args.type, args.n)
+    if args.format == "json":
         print(row.to_json())
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print(row.to_csv(), end="")
-    elif cfg.q_mode:
+    elif args.q:
         print(",".join("[" + ",".join(map(str, p.to_list())) + "]" for p in row.entries))
     else:
         print(",".join(str(c) for c in row.at_q1()))
@@ -126,20 +101,20 @@ def _verify_one(identity: str, n: int, m: int, jobs: int):
     raise UsageError(f"unknown identity {identity!r}")
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    n_lo, n_hi = cfg.n_range
-    m_lo, m_hi = cfg.m_range
+def cmd_verify(args) -> int:
+    n_lo, n_hi = args.n_range
+    m_lo, m_hi = args.m_range
     if n_lo < 1 or m_lo < 0:
         raise UsageError("need n >= 1 and m >= 0")
     reports = [
-        _verify_one(args.identity, n, m, cfg.jobs)
+        _verify_one(args.identity, n, m, args.jobs)
         for n in range(n_lo, n_hi + 1)
         for m in range(m_lo, m_hi + 1)
     ]
     ok = all(r.passed for r in reports)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"reports": [r.to_json_dict() for r in reports], "pass": ok}))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print("identity,n,m,lhs,rhs,pass")
         for r in reports:
             print(f"{r.identity},{r.n},{r.m},{r.lhs},{r.rhs},{r.passed}")
@@ -164,9 +139,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_map(args, cfg: RunConfig) -> int:
+def cmd_map(args) -> int:
     v = parse_vector(args.vector, args.m)
-    if cfg.group == "B":
+    if args.type == "B":
         print(map_b.phi(v, args.m).format())
         return 0
     if len(v) < 2:
@@ -175,17 +150,17 @@ def cmd_map(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_fibers(args, cfg: RunConfig) -> int:
-    report_fn = map_b.fiber_report_b if cfg.group == "B" else map_d.fiber_report_d
+def cmd_fibers(args) -> int:
+    report_fn = map_b.fiber_report_b if args.type == "B" else map_d.fiber_report_d
     if args.sigma is not None:
         sigma = SignedPermutation.parse(args.sigma)
         if sigma.n != args.n:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
-        if cfg.group == "D" and not sigma.is_in_dn():
+        if args.type == "D" and not sigma.is_in_dn():
             raise UsageError("--sigma must have an even number of negative entries")
         reports = [report_fn(sigma, args.m, include_vectors=True)]
     else:
-        if cfg.group == "B":
+        if args.type == "B":
             oracle = map_b.phi_fibers(args.n, args.m)
             group = enumerate_bn(args.n)
         else:
@@ -196,7 +171,7 @@ def cmd_fibers(args, cfg: RunConfig) -> int:
             for sigma in group
         ]
     ok = all(r.passed for r in reports)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = [r.to_json_dict() for r in reports]
         print(json.dumps(payload[0] if args.sigma is not None else payload))
     else:
@@ -211,9 +186,9 @@ def cmd_fibers(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_missing(args, cfg: RunConfig) -> int:
-    census = map_d.missing_census(args.n, args.m, jobs=cfg.jobs)
-    if cfg.fmt == "json":
+def cmd_missing(args) -> int:
+    census = map_d.missing_census(args.n, args.m, jobs=args.jobs)
+    if args.format == "json":
         print(json.dumps(census.to_json_dict()))
     else:
         for case in map_d.MISSING_CASES:
@@ -232,13 +207,13 @@ def cmd_missing(args, cfg: RunConfig) -> int:
     return 0 if census.passed else 1
 
 
-def cmd_oeis_check(args, cfg: RunConfig) -> int:
+def cmd_oeis_check(args) -> int:
     report = oeis.check_sequence(
         args.seq, args.max_n, bfile_path=args.bfile, fetch_url=args.fetch
     )
     if report.warning:
         print(f"warning: {report.warning}", file=sys.stderr)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
         for n, ref, got, ok in report.rows:
@@ -276,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="C..D",
         help="m grid (plays the role of k for worpitzky-a)",
     )
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--format", **fmt)
     p.set_defaults(fn=cmd_verify)
 
@@ -300,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("missing", help="census of vectors without a type-D partner")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--format", **fmt)
     p.set_defaults(fn=cmd_missing)
 
@@ -336,8 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        cfg = RunConfig.from_args(args)
-        return args.fn(args, cfg)
+        _check_args(args)
+        return args.fn(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

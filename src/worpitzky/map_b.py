@@ -27,8 +27,9 @@ from .signed_perm import SignedPermutation
 from .sigma_vectors import (
     Vector,
     check_bound,
+    code_entry,
     enumerate_vectors,
-    order_key,
+    position_code,
     total_weight_neg,
 )
 
@@ -39,14 +40,9 @@ def phi(v: Sequence[int], m: int | None = None) -> SignedPermutation:
         raise ValueError("empty vector")
     if m is not None:
         check_bound(v, m)
-    # composite key realizes the tie rule in one stable pass:
-    # ascending position for equal nonnegative values, descending for negatives
-    order = sorted(
-        range(1, len(v) + 1),
-        key=lambda i: (order_key(v[i - 1]), -i if v[i - 1] < 0 else i),
-    )
-    window = tuple(-p if v[p - 1] < 0 else p for p in order)
-    return SignedPermutation(window)
+    n = len(v)
+    codes = sorted(map(position_code, range(1, n + 1), v, itertools.repeat(n)))
+    return SignedPermutation(tuple(map(code_entry, codes, itertools.repeat(n))))
 
 
 def decode_abs_chains(

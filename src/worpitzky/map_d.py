@@ -23,8 +23,8 @@ deviating closed form of the full q-identity is kept as an erratum probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from multiprocessing import Pool
 
 from .bernoulli import power_sum, worpitzky_d_lhs
 from .exactnum import ONE_PLUS_Q, QPolynomial, binom
@@ -33,10 +33,11 @@ from .map_b import FiberReport, IdentityReport, decode_abs_chains, phi, rhs_eule
 from .signed_perm import SignedPermutation
 from .sigma_vectors import (
     Vector,
+    _shard_columns,
+    _sweep,
     check_bound,
+    code_entry,
     enumerate_vectors,
-    letters,
-    neg2_vec,
     neg_vec,
     total_weight_neg2,
 )
@@ -72,10 +73,30 @@ class MapOutcome:
         return self.sigma.format() + (" (flipped)" if self.flipped else "")
 
 
-def _check_single_zero(v) -> None:
-    """A vector missed at position 0 holds at most one zero."""
-    if tuple(v).count(0) > 1:
-        raise ArithmeticError(f"missing vector {tuple(v)} holds more than one zero")
+def _missing_case(zeros: int, odd: bool, s1: int, s2: int) -> str | None:
+    """The case rules for a vector v whose window phi(v) starts s1, s2.
+
+    ``zeros`` counts the zeros of v (any count above 1 may be passed as 2)
+    and ``odd`` says whether v has an odd number of negative entries.
+    Returns the missing case, or None when v is associated with phi(v),
+    flipped at the first entry when v has a zero and odd negatives.
+    """
+    if not zeros:
+        return "case1" if odd else None
+    # zero is the smallest letter, so s1 > 0 is the position of the first zero
+    if odd:
+        if s2 > s1:  # the flipped window -s1, s2 has no descent at position 0
+            return None
+        case = "case2a" if s1 > abs(s2) else "case2b"
+    elif s1 + s2 < 0:
+        case = "case3"
+    else:
+        return None
+    if zeros > 1:
+        raise ArithmeticError(f"a {case} vector (phi starts {s1},{s2}) has more than one zero")
+    if case == "case2b" and s2 > 0:
+        raise ArithmeticError(f"a case2b vector has a positive second entry {s2}")
+    return case
 
 
 def psi(v, m: int | None = None) -> MapOutcome:
@@ -85,30 +106,14 @@ def psi(v, m: int | None = None) -> MapOutcome:
     if m is not None:
         check_bound(v, m)
     sigma = phi(v)
-    has_zero = 0 in v
-    parity_even = neg_vec(v) % 2 == 0
-
-    if not has_zero:
-        if parity_even:
-            return MapOutcome.associate(sigma)
-        return MapOutcome.missing("case1")
-
-    if parity_even:
-        if 0 in sigma.des_d_set():
-            _check_single_zero(v)
-            return MapOutcome.missing("case3")
-        return MapOutcome.associate(sigma)
-
-    flipped = sigma.flip_first()
-    if 0 in flipped.des_d_set():
-        _check_single_zero(v)
-        w = sigma.window
-        if abs(w[0]) > abs(w[1]):
-            return MapOutcome.missing("case2a")
-        if flipped.window[1] > 0:
-            raise ArithmeticError(f"case2b vector {tuple(v)} has a positive second entry")
-        return MapOutcome.missing("case2b")
-    return MapOutcome.associate(flipped, flipped=True)
+    zeros = tuple(v).count(0)
+    odd = neg_vec(v) % 2 == 1
+    case = _missing_case(zeros, odd, *sigma.window[:2])
+    if case is not None:
+        return MapOutcome.missing(case)
+    if zeros and odd:
+        return MapOutcome.associate(sigma.flip_first(), flipped=True)
+    return MapOutcome.associate(sigma)
 
 
 # -- fibers -----------------------------------------------------------------
@@ -276,44 +281,39 @@ class MissingCensus:
         }
 
 
-def _census_block(args) -> tuple[dict, dict, int]:
-    n, m, first = args
-    counts = {case: 0 for case in MISSING_CASES}
-    weight_counts = {case: [0] * (n + 1) for case in MISSING_CASES}
-    associated = 0
-    for rest in product(letters(m), repeat=n - 1):
-        v = (first,) + rest
-        outcome = psi(v)
-        if outcome.is_associated:
-            associated += 1
-        else:
-            case = outcome.missing_case
-            counts[case] += 1
-            weight_counts[case][neg2_vec(v)] += 1
-    return counts, weight_counts, associated
+def _census_fold(shard) -> list[int]:
+    """One block of n+1 cells per missing case and a last one for the
+    associated vectors; cell k of a block counts its vectors with neg2 = k."""
+    n, m, first = shard
+    w = n + 1
+    cells = [0] * ((len(MISSING_CASES) + 1) * w)
+
+    # the block of a vector whose two smallest codes are c1 < c2, less 1 when
+    # sigma_1 < 0, so that adding neg gives the cell of neg2
+    @lru_cache(maxsize=None)
+    def offset(c1: int, c2: int, odd: int) -> int:
+        zeros = (c1 < w * w) + (c2 < w * w)
+        case = _missing_case(zeros, odd, code_entry(c1, n), code_entry(c2, n))
+        block = len(MISSING_CASES) if case is None else MISSING_CASES.index(case)
+        return block * w - c1 % w
+
+    for codes in product(*_shard_columns(n, m, first)):
+        low = sorted(codes)
+        neg = sum(codes) % w
+        cells[offset(low[0], low[1], neg & 1) + neg] += 1
+    return cells
 
 
 def missing_census(n: int, m: int, jobs: int = 1) -> MissingCensus:
     """Classify every vector and tally the missing ones per case."""
     if n < 2:
         raise ValueError("need n >= 2")
-    blocks = [(n, m, first) for first in letters(m)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            partials = pool.map(_census_block, blocks)
-    else:
-        partials = [_census_block(b) for b in blocks]
-    counts = {case: 0 for case in MISSING_CASES}
-    weight_counts = {case: [0] * (n + 1) for case in MISSING_CASES}
-    associated = 0
-    for part_counts, part_weights, part_assoc in partials:
-        associated += part_assoc
-        for case in MISSING_CASES:
-            counts[case] += part_counts[case]
-            for k, c in enumerate(part_weights[case]):
-                weight_counts[case][k] += c
-    weights = {case: QPolynomial(weight_counts[case]) for case in MISSING_CASES}
-    return MissingCensus(n, m, counts, weights, associated)
+    cells = _sweep(_census_fold, n, m, jobs)
+    w = n + 1
+    blocks = {case: cells[c * w:(c + 1) * w] for c, case in enumerate(MISSING_CASES)}
+    counts = {case: sum(block) for case, block in blocks.items()}
+    weights = {case: QPolynomial(block) for case, block in blocks.items()}
+    return MissingCensus(n, m, counts, weights, sum(cells[len(MISSING_CASES) * w:]))
 
 
 # -- printed per-case q-expressions -------------------------------------------

@@ -5,15 +5,18 @@ The alphabet carries the linear order
     0 < -1 < 1 < -2 < 2 < ... < -m < m
 
 (zero first, then by absolute value, negative before positive at equal
-absolute value).  ``order_key`` ranks a letter in this order; all vector
-statistics and the vector-to-permutation maps are driven by it.
+absolute value).  ``order_key`` ranks a letter in this order and
+``position_code`` a letter at a position in the order ``phi`` sorts by.  The
+sweep engine ``_sweep`` folds every vector of a shard through these codes.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from itertools import product
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import QPolynomial
 
@@ -80,56 +83,74 @@ def check_bound(v: Sequence[int], m: int) -> None:
             raise ValueError(f"entry {a} at position {pos} exceeds bound m={m}")
 
 
-# -- total q-weights ------------------------------------------------------
+# -- the sweep engine ------------------------------------------------------
 
-def _weight_counts(vectors: Iterable[Sequence[int]], stat, n: int) -> list[int]:
-    counts = [0] * (n + 1)
-    for v in vectors:
-        counts[stat(v)] += 1
+def position_code(i: int, a: int, n: int) -> int:
+    """Sort code of letter ``a`` at position ``i`` (1-based) of an n-vector.
+
+    Codes sort as ``phi`` orders positions: by ``order_key``, then ascending
+    position for a nonnegative letter and descending for a negative one.
+    Their last base-(n+1) digit is 1 for a negative letter, so the codes of
+    a vector sum to neg(v) modulo n+1.
+    """
+    w = n + 1
+    negative = a < 0
+    return (order_key(a) * w + (w - i if negative else i)) * w + negative
+
+
+def code_entry(code: int, n: int) -> int:
+    """The signed window entry ``phi`` writes for a position code."""
+    w = n + 1
+    rest, negative = divmod(code, w)
+    return rest % w - w if negative else rest % w
+
+
+def _shard_columns(n: int, m: int, first: int) -> list[tuple[int, ...]]:
+    """Per-position code tables of the shard of vectors starting with ``first``."""
+    tail = [tuple(position_code(i, a, n) for a in letters(m)) for i in range(2, n + 1)]
+    return [(position_code(1, first, n),)] + tail
+
+
+def _neg_fold(shard) -> list[int]:
+    n, m, first = shard
+    w = n + 1
+    counts = [0] * w
+    for codes in product(*_shard_columns(n, m, first)):
+        counts[sum(codes) % w] += 1
     return counts
 
 
-def _neg_block(args) -> list[int]:
-    n, m, first = args
-    counts = [0] * (n + 1)
-    base = 1 if first < 0 else 0
-    for rest in itertools.product(letters(m), repeat=n - 1):
-        counts[base + neg_vec(rest)] += 1
+def _neg2_fold(shard) -> list[int]:
+    n, m, first = shard
+    w = n + 1
+    counts = [0] * w
+    # the smallest code is the smallest letter; its last digit is its sign
+    for codes in product(*_shard_columns(n, m, first)):
+        counts[(sum(codes) - min(codes)) % w] += 1
     return counts
 
 
-def _neg2_block(args) -> list[int]:
-    n, m, first = args
-    counts = [0] * (n + 1)
-    for rest in itertools.product(letters(m), repeat=n - 1):
-        counts[neg2_vec((first,) + rest)] += 1
-    return counts
-
-
-def _reduce_blocks(block_fn, n: int, m: int, jobs: int) -> list[int]:
-    args = [(n, m, first) for first in letters(m)]
-    with Pool(jobs) as pool:
-        partials = pool.map(block_fn, args)
-    total = [0] * (n + 1)
-    for counts in partials:  # fixed block order keeps the reduction deterministic
-        for k, c in enumerate(counts):
-            total[k] += c
-    return total
+def _sweep(fold, n: int, m: int, jobs: int) -> list[int]:
+    """Run ``fold`` on one shard (n, m, first) per first letter and add the
+    returned lists element by element in fixed shard order, so the result
+    is the same for any worker count."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    shards = [(n, m, first) for first in letters(m)]
+    workers = min(jobs, len(shards), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
+            partials = pool.map(fold, shards)
+    else:
+        partials = map(fold, shards)
+    return list(map(sum, zip(*partials)))
 
 
 def total_weight_neg(n: int, m: int, jobs: int = 1) -> QPolynomial:
     """Brute-force sum of q^neg(v) over all vectors of length n, bound m."""
-    if jobs > 1 and n > 1:
-        counts = _reduce_blocks(_neg_block, n, m, jobs)
-    else:
-        counts = _weight_counts(enumerate_vectors(n, m), neg_vec, n)
-    return QPolynomial(counts)
+    return QPolynomial(_sweep(_neg_fold, n, m, jobs))
 
 
 def total_weight_neg2(n: int, m: int, jobs: int = 1) -> QPolynomial:
     """Brute-force sum of q^neg2(v) over all vectors of length n, bound m."""
-    if jobs > 1 and n > 1:
-        counts = _reduce_blocks(_neg2_block, n, m, jobs)
-    else:
-        counts = _weight_counts(enumerate_vectors(n, m), neg2_vec, n)
-    return QPolynomial(counts)
+    return QPolynomial(_sweep(_neg2_fold, n, m, jobs))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import gt, mul
 from typing import Iterator, Sequence
 
 
@@ -91,13 +92,16 @@ class SignedPermutation:
         return des | {0} if self.window[0] + self.window[1] < 0 else des
 
     def des_a(self) -> int:
-        return len(self.des_a_set())
+        w = self.window
+        return sum(map(gt, w, w[1:]))
 
     def des_b(self) -> int:
-        return len(self.des_b_set())
+        return self.des_a() + (self.window[0] < 0)
 
     def des_d(self) -> int:
-        return len(self.des_d_set())
+        if self.n < 2:
+            raise ValueError("type-D descents need at least two entries")
+        return self.des_a() + (self.window[0] + self.window[1] < 0)
 
     # -- sign statistics ----------------------------------------------------
 
@@ -120,12 +124,10 @@ def identity(n: int) -> SignedPermutation:
 
 def _signed_windows(n: int, masks) -> Iterator[SignedPermutation]:
     """Each permutation of 1..n under each sign mask (bit i negates entry i)."""
+    signs = [tuple(-1 if (mask >> i) & 1 else 1 for i in range(n)) for mask in masks]
     for perm in itertools.permutations(range(1, n + 1)):
-        for mask in masks:
-            window = tuple(
-                -p if (mask >> i) & 1 else p for i, p in enumerate(perm)
-            )
-            yield SignedPermutation(window)
+        for sign in signs:
+            yield SignedPermutation(tuple(map(mul, sign, perm)))
 
 
 def enumerate_bn(n: int) -> Iterator[SignedPermutation]:

@@ -241,6 +241,41 @@ def test_output_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_sweep_json_is_identical_at_one_and_two_jobs(capsys):
+    for argv in (
+        ["missing", "--n", "4", "--m", "2"],
+        ["verify", "--identity", "balance-d", "--n-range", "2..4", "--m-range", "0..2"],
+        ["verify", "--identity", "worpitzky-b", "--n-range", "1..4", "--m-range", "0..2"],
+    ):
+        code1, out1, _ = run(capsys, *argv, "--format", "json", "--jobs", "1")
+        code2, out2, _ = run(capsys, *argv, "--format", "json", "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "missing", "--n", "3", "--m", "1", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: need a job count >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_jobs_env_var_is_a_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("WORPITZKY_JOBS", raw)
+    argv = ["verify", "--identity", "balance-d", "--n-range", "2..2", "--m-range", "1..1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, *argv, "--jobs", "1")[0] == 0  # the flag wins over the variable
+
+
+def test_eulerian_row_bound(capsys):
+    code, out, err = run(capsys, "eulerian", "--type", "D", "--n", "51")
+    assert code == 2 and out == ""
+    assert err == "error: n must be <= 50\n"
+
+
 def test_jobs_env_var_default(capsys, monkeypatch):
     monkeypatch.setenv("WORPITZKY_JOBS", "2")
     code, out, _ = run(capsys, "missing", "--n", "3", "--m", "1", "--format", "json")

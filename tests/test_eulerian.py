@@ -8,6 +8,8 @@ import math
 import pytest
 
 from worpitzky.eulerian import (
+    MAX_ROW_N,
+    _transfer_row,
     enumerated_row,
     eulerian_row,
     eulerian_row_a,
@@ -90,6 +92,19 @@ def test_dispatch_and_bounds():
         enumerated_row("E", 3)
     with pytest.raises(ValueError):
         enumerated_row("D", 1)
+
+
+def test_rows_above_the_bound_are_refused_before_any_work():
+    assert MAX_ROW_N == 50
+    before = eulerian_row_d_q.cache_info().currsize
+    for group in ("A", "B", "D"):
+        with pytest.raises(ValueError, match="n must be <= 50"):
+            eulerian_row(group, 51)
+        with pytest.raises(ValueError, match="n must be <= 50"):
+            _transfer_row(group, 51)
+        with pytest.raises(ValueError, match="n must be <= 50"):
+            enumerated_row(group, 51)
+    assert eulerian_row_d_q.cache_info().currsize == before
 
 
 def test_json_export():

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import worpitzky
+from worpitzky import map_d
 from worpitzky.exactnum import ONE_PLUS_Q, QPolynomial
 from worpitzky.map_d import (
+    MISSING_CASES,
     erratum_report_d,
     fiber_enumerate_d,
     fiber_report_d,
@@ -26,7 +28,7 @@ from worpitzky.map_d import (
     verify_worpitzky_d_q1,
 )
 from worpitzky.signed_perm import SignedPermutation
-from worpitzky.sigma_vectors import neg2_vec
+from worpitzky.sigma_vectors import enumerate_vectors, neg2_vec, position_code
 
 
 def test_psi_flip_example():
@@ -162,6 +164,24 @@ def test_census_m0_all_zero():
 
 def test_census_parallel_matches_serial():
     assert missing_census(3, 2, jobs=2).to_json_dict() == missing_census(3, 2).to_json_dict()
+
+
+def test_census_fold_classifies_every_vector_as_psi(monkeypatch):
+    # one-vector shards: the fold's product yields the codes of v alone
+    shard = []
+    monkeypatch.setattr(map_d, "product", lambda *columns: shard)
+    for n in range(2, 6):
+        for m in range(4):
+            for v in enumerate_vectors(n, m):
+                shard[:] = [tuple(position_code(i, a, n) for i, a in enumerate(v, start=1))]
+                cells = map_d._census_fold((n, m, v[0]))
+                outcome = psi(v)
+                block = len(MISSING_CASES) if outcome.is_associated else MISSING_CASES.index(
+                    outcome.missing_case
+                )
+                expected = [0] * len(cells)
+                expected[block * (n + 1) + neg2_vec(v)] = 1
+                assert cells == expected, v
 
 
 def test_census_json_schema():

@@ -4,8 +4,12 @@ import itertools
 
 import pytest
 
+from worpitzky import sigma_vectors
 from worpitzky.exactnum import QPolynomial
 from worpitzky.sigma_vectors import (
+    _neg2_fold,
+    _neg_fold,
+    _sweep,
     enumerate_vectors,
     format_vector,
     neg2_vec,
@@ -99,6 +103,52 @@ def test_total_weight_neg2_single_entry_is_constant(m):
 def test_parallel_reduction_matches_serial():
     assert total_weight_neg(3, 2, jobs=2) == total_weight_neg(3, 2)
     assert total_weight_neg2(3, 2, jobs=3) == total_weight_neg2(3, 2)
+
+
+@pytest.mark.parametrize("fold, stat", [(_neg_fold, neg_vec), (_neg2_fold, neg2_vec)])
+def test_folds_equal_the_per_vector_statistics(fold, stat):
+    for n in range(1, 5):
+        for m in range(4):
+            for first in range(-m, m + 1):
+                tally = [0] * (n + 1)
+                for v in enumerate_vectors(n, m):
+                    if v[0] == first:
+                        tally[stat(v)] += 1
+                assert fold((n, m, first)) == tally
+
+
+class _InProcessPool:
+    """Stands in for multiprocessing.Pool: records the worker count and maps
+    in this process, so no worker is started."""
+
+    created: list[int] = []
+
+    def __init__(self, processes):
+        self.created.append(processes)
+
+    def map(self, fn, shards):
+        return [fn(shard) for shard in shards]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+def test_engine_caps_workers_at_shards_and_cpus(monkeypatch):
+    monkeypatch.setattr(sigma_vectors, "Pool", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "created", [])
+    monkeypatch.setattr(sigma_vectors.os, "cpu_count", lambda: 4)
+    serial = _sweep(_neg2_fold, 3, 2, 1)
+    assert _InProcessPool.created == []  # jobs=1 runs in-process
+    assert _sweep(_neg2_fold, 3, 2, 1000) == serial
+    assert _sweep(_neg2_fold, 3, 1, 1000) == _sweep(_neg2_fold, 3, 1, 1)
+    assert _sweep(_neg2_fold, 3, 2, 3) == serial
+    assert _InProcessPool.created == [4, 3, 3]  # cpus, shards (2m+1 = 3), jobs
+    monkeypatch.setattr(sigma_vectors.os, "cpu_count", lambda: 1)
+    assert _sweep(_neg2_fold, 3, 2, 1000) == serial
+    assert _InProcessPool.created == [4, 3, 3]
 
 
 def test_vector_text_round_trip():
