@@ -8,8 +8,6 @@ from .exactnum import QPolynomial, binom
 from .map_b import (
     FiberReport,
     IdentityReport,
-    fiber_enumerate_b,
-    fiber_size_b,
     phi,
     phi_fibers,
     verify_worpitzky_a,
@@ -19,8 +17,9 @@ from .map_d import (
     MapOutcome,
     MissingCensus,
     erratum_report_d,
-    fiber_enumerate_d,
-    fiber_size_d,
+    fiber_report,
+    fiber_size,
+    fiber_vectors,
     missing_census,
     printed_case_weights_q,
     printed_lhs_d_q,
@@ -58,10 +57,9 @@ __all__ = [
     "eulerian_row_a",
     "eulerian_row_b_q",
     "eulerian_row_d_q",
-    "fiber_enumerate_b",
-    "fiber_enumerate_d",
-    "fiber_size_b",
-    "fiber_size_d",
+    "fiber_report",
+    "fiber_size",
+    "fiber_vectors",
     "missing_census",
     "neg2_vec",
     "neg_vec",

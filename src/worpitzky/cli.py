@@ -5,9 +5,10 @@ an (n, m) grid), ``map`` (vector to permutation), ``fibers`` (fiber
 reports), ``missing`` (missing-vector census), ``oeis-check`` (b-file
 cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 
-Output formats: plain text (default), JSON, CSV.  --jobs, else the
-WORPITZKY_JOBS environment variable, sets the worker count of the big vector
-sweeps (at most one per shard and CPU); results do not depend on it.
+Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
+also write CSV.  --jobs, else the WORPITZKY_JOBS environment variable, sets
+the worker count of the big vector sweeps (at most one per shard and CPU);
+results do not depend on it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import map_b, map_d, oeis
-from .eulerian import eulerian_row
+from .eulerian import MAX_ROW_N, eulerian_row
 from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
 from .sigma_vectors import parse_vector
 
@@ -35,8 +37,9 @@ D_IDENTITIES = ("worpitzky-d", "balance-d", "erratum-d")
 
 
 def _check_args(args) -> None:
-    """Post-validation argparse cannot express: resolve the job count and
-    require n >= 2 wherever type D is involved."""
+    """Post-validation argparse cannot express: resolve the job count,
+    require n >= 2 wherever type D is involved, and bound the verify grid
+    before any report is built."""
     if hasattr(args, "jobs"):
         args.jobs = _job_count(args.jobs)
     n_lo = args.n_range[0] if hasattr(args, "n_range") else getattr(args, "n", None)
@@ -45,6 +48,11 @@ def _check_args(args) -> None:
     ) or args.command == "missing" or getattr(args, "identity", None) in D_IDENTITIES
     if needs_d and n_lo is not None and n_lo < 2:
         raise UsageError(f"{getattr(args, 'identity', args.command)} requires n >= 2")
+    if args.command == "verify":
+        if n_lo < 1 or args.m_range[0] < 0:
+            raise UsageError("need n >= 1 and m >= 0")
+        if args.n_range[1] > MAX_ROW_N:
+            raise UsageError(f"n must be <= {MAX_ROW_N}")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -104,8 +112,6 @@ def _verify_one(identity: str, n: int, m: int, jobs: int):
 def cmd_verify(args) -> int:
     n_lo, n_hi = args.n_range
     m_lo, m_hi = args.m_range
-    if n_lo < 1 or m_lo < 0:
-        raise UsageError("need n >= 1 and m >= 0")
     reports = [
         _verify_one(args.identity, n, m, args.jobs)
         for n in range(n_lo, n_hi + 1)
@@ -151,14 +157,11 @@ def cmd_map(args) -> int:
 
 
 def cmd_fibers(args) -> int:
-    report_fn = map_b.fiber_report_b if args.type == "B" else map_d.fiber_report_d
     if args.sigma is not None:
         sigma = SignedPermutation.parse(args.sigma)
         if sigma.n != args.n:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
-        if args.type == "D" and not sigma.is_in_dn():
-            raise UsageError("--sigma must have an even number of negative entries")
-        reports = [report_fn(sigma, args.m, include_vectors=True)]
+        reports = [map_d.fiber_report(args.type, sigma, args.m)]
     else:
         if args.type == "B":
             oracle = map_b.phi_fibers(args.n, args.m)
@@ -167,7 +170,9 @@ def cmd_fibers(args) -> int:
             oracle, _ = map_d.psi_fibers(args.n, args.m)
             group = enumerate_dn(args.n)
         reports = [
-            report_fn(sigma, args.m, include_vectors=args.vectors, oracle=oracle)
+            map_d.fiber_report(
+                args.type, sigma, args.m, include_vectors=args.vectors, oracle=oracle
+            )
             for sigma in group
         ]
     ok = all(r.passed for r in reports)
@@ -208,9 +213,7 @@ def cmd_missing(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
-    report = oeis.check_sequence(
-        args.seq, args.max_n, bfile_path=args.bfile, fetch_url=args.fetch
-    )
+    report = oeis.check_sequence(args.seq, args.max_n, bfile_path=args.bfile)
     if report.warning:
         print(f"warning: {report.warning}", file=sys.stderr)
     if args.format == "json":
@@ -224,7 +227,9 @@ def cmd_oeis_check(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process for every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="worpitzky",
         description="Exact Eulerian-number and Worpitzky-identity engine "
@@ -233,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt = {"choices": ["text", "json", "csv"], "default": "text"}
+    text_json = {"choices": ["text", "json"], "default": "text"}
 
     p = sub.add_parser("eulerian", help="print one Eulerian triangle row")
     p.add_argument("--type", required=True, choices=["A", "B", "D"])
@@ -269,23 +275,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vectors", action="store_true", help="include vectors in all-sigma reports"
     )
-    p.add_argument("--format", **fmt)
+    p.add_argument("--format", **text_json)
     p.set_defaults(fn=cmd_fibers)
 
     p = sub.add_parser("missing", help="census of vectors without a type-D partner")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--jobs", type=int)
-    p.add_argument("--format", **fmt)
+    p.add_argument("--format", **text_json)
     p.set_defaults(fn=cmd_missing)
 
     p = sub.add_parser("oeis-check", help="cross-check triangle rows against OEIS data")
     p.add_argument("--seq", required=True, choices=sorted(oeis.SEQUENCES))
     p.add_argument("--max-n", required=True, type=int)
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--bfile", help="local b-file path")
-    src.add_argument("--fetch", help="b-file URL (falls back to fixture on failure)")
-    p.add_argument("--format", **fmt)
+    p.add_argument("--bfile", help="local b-file path")
+    p.add_argument("--format", **text_json)
     p.set_defaults(fn=cmd_oeis_check)
 
     return parser

@@ -13,6 +13,7 @@ chains: a vector in the fiber of sigma corresponds to a chain
     b_i = |a_{|sigma_i|}| + i - #{descents j < i}
 
 (the 0 descent counts), so the fiber size is C(n + m - des_B(sigma), n).
+``map_d.fiber_vectors`` decodes these chains for both types.
 """
 
 from __future__ import annotations
@@ -54,24 +55,6 @@ def decode_abs_chains(
     prefix = [sum(1 for j in des_set if j < i) for i in range(1, n + 1)]
     for chain in itertools.combinations(range(1, top + 1), n):
         yield tuple(b - i + prefix[i - 1] for i, b in enumerate(chain, start=1))
-
-
-def fiber_size_b(sigma: SignedPermutation, m: int) -> int:
-    return binom(sigma.n + m - sigma.des_b(), sigma.n)
-
-
-def fiber_enumerate_b(sigma: SignedPermutation, m: int) -> list[Vector]:
-    """All vectors mapping to sigma, decoded from the chain encoding."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    n = sigma.n
-    out = []
-    for abs_vals in decode_abs_chains(sigma.des_b_set(), n, m):
-        a = [0] * n
-        for entry, av in zip(sigma.window, abs_vals):
-            a[abs(entry) - 1] = -av if entry < 0 else av
-        out.append(tuple(a))
-    return out
 
 
 def phi_fibers(n: int, m: int) -> dict[SignedPermutation, list[Vector]]:
@@ -149,35 +132,6 @@ class FiberReport:
         if self.vectors is not None:
             d["vectors"] = [list(v) for v in self.vectors]
         return d
-
-
-def fiber_report_b(
-    sigma: SignedPermutation,
-    m: int,
-    include_vectors: bool = True,
-    oracle: dict[SignedPermutation, list[Vector]] | None = None,
-) -> FiberReport:
-    """Compare the chain decoding of a fiber against the forward-map sweep."""
-    decoded = fiber_enumerate_b(sigma, m)
-    if oracle is None:
-        swept = [v for v in enumerate_vectors(sigma.n, m) if phi(v) == sigma]
-    else:
-        swept = oracle.get(sigma, [])
-    expected = fiber_size_b(sigma, m)
-    passed = (
-        expected == len(swept)
-        and set(decoded) == set(swept)
-        and len(decoded) == len(swept)
-    )
-    return FiberReport(
-        "B",
-        sigma,
-        m,
-        expected,
-        len(swept),
-        tuple(decoded) if include_vectors else None,
-        passed,
-    )
 
 
 # -- identity verification --------------------------------------------------

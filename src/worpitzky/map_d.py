@@ -14,6 +14,9 @@ breaking the descent condition are "missing" and fall into four classes:
           sigma_2 < 0);
 * case3:  zero present, even negatives, but position 0 is a descent.
 
+The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded here by
+one path, ``fiber_vectors``, from the chains of the type's descent set.
+
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
 q-expressions whose sum (but not each summand) matches the census; the
@@ -118,36 +121,53 @@ def psi(v, m: int | None = None) -> MapOutcome:
 
 # -- fibers -----------------------------------------------------------------
 
-def fiber_size_d(sigma: SignedPermutation, m: int) -> int:
-    return binom(sigma.n + m - sigma.des_d(), sigma.n)
+def fiber_size(group: str, sigma: SignedPermutation, m: int) -> int:
+    """C(n + m - des(sigma), n): the fiber size of sigma under phi (type B,
+    des_B) or psi (type D, des_D)."""
+    if group == "B":
+        des = sigma.des_b()
+    elif group == "D":
+        des = sigma.des_d()
+    else:
+        raise ValueError(f"unknown type {group!r}, expected B or D")
+    return binom(sigma.n + m - des, sigma.n)
 
 
-def fiber_enumerate_d(sigma: SignedPermutation, m: int) -> list[Vector]:
-    """All vectors associated with sigma, decoded from the chain encoding.
+def _forward(group: str, v: Vector) -> SignedPermutation | None:
+    """Where the type's forward map sends v; None for a missing vector."""
+    return phi(v) if group == "B" else psi(v).sigma
 
-    Signs are recovered from sigma except at the first chain position,
-    where a zero absolute value stays zero even for a negative first entry
-    (the zero is the one read as negative by the parity flip).  Every
-    decoded vector is validated by a forward map call; a mismatch is a
-    hard failure, never a silent skip.
+
+def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
+    """All vectors the type's forward map sends to sigma, decoded from the
+    chains of its descent set.
+
+    Signs are recovered from sigma.  In type D the first chain position may
+    decode to zero under a negative first entry (the zero that the parity
+    flip reads as negative).  Every decoded vector is validated by a
+    forward map call; a mismatch is a hard failure, never a silent skip.
     """
-    if not sigma.is_in_dn():
-        raise ValueError("sigma must have an even number of negative entries")
+    if group == "B":
+        des_set = sigma.des_b_set()
+    elif group == "D":
+        if not sigma.is_in_dn():
+            raise ValueError("sigma must have an even number of negative entries")
+        des_set = sigma.des_d_set()
+    else:
+        raise ValueError(f"unknown type {group!r}, expected B or D")
     if m < 0:
         raise ValueError("m must be >= 0")
     n = sigma.n
     out = []
-    for abs_vals in decode_abs_chains(sigma.des_d_set(), n, m):
+    for abs_vals in decode_abs_chains(des_set, n, m):
         a = [0] * n
-        # a negated zero stays zero: the first chain position may decode to 0
-        # under a negative first entry, all later positions are nonzero there
         for entry, av in zip(sigma.window, abs_vals):
             a[abs(entry) - 1] = -av if entry < 0 else av
         v = tuple(a)
-        outcome = psi(v, m)
-        if outcome.sigma != sigma:
+        image = _forward(group, v)
+        if image != sigma:
             raise ArithmeticError(
-                f"decoded vector {v} does not map back to {sigma} (got {outcome})"
+                f"decoded vector {v} does not map back to {sigma} (got {image})"
             )
         out.append(v)
     return out
@@ -166,23 +186,25 @@ def psi_fibers(n: int, m: int):
     return fibers, missing
 
 
-def fiber_report_d(
+def fiber_report(
+    group: str,
     sigma: SignedPermutation,
     m: int,
     include_vectors: bool = True,
     oracle: dict[SignedPermutation, list[Vector]] | None = None,
 ) -> FiberReport:
-    decoded = fiber_enumerate_d(sigma, m)
+    """Compare the chain decoding of a fiber against the forward map: the
+    ``oracle`` fibers of a whole-space sweep when given, else a streaming
+    sweep that keeps only sigma's fiber."""
+    decoded = fiber_vectors(group, sigma, m)
     if oracle is None:
-        swept = [
-            v for v in enumerate_vectors(sigma.n, m) if psi(v).sigma == sigma
-        ]
+        swept = [v for v in enumerate_vectors(sigma.n, m) if _forward(group, v) == sigma]
     else:
         swept = oracle.get(sigma, [])
-    expected = fiber_size_d(sigma, m)
-    passed = expected == len(swept) and set(decoded) == set(swept)
+    expected = fiber_size(group, sigma, m)
+    passed = expected == len(swept) == len(decoded) and set(decoded) == set(swept)
     return FiberReport(
-        "D",
+        group,
         sigma,
         m,
         expected,

@@ -1,15 +1,14 @@
 """OEIS b-file ingestion and cross-checks of the Eulerian triangles.
 
 Bundled fixtures (regenerated from the enumeration oracle) are the
-authoritative data source; fetching a b-file from a URL is optional and
-falls back to the fixture on network failure.  A b-file is plain text with
-``index value`` lines and ``#`` comments; triangle rows are reconstructed
-by reading the value stream in row-major order.
+authoritative data source; a b-file saved on disk can be checked in their
+place.  A b-file is plain text with ``index value`` lines and ``#``
+comments; triangle rows are reconstructed by reading the value stream in
+row-major order.
 """
 
 from __future__ import annotations
 
-import urllib.request
 from dataclasses import dataclass
 from importlib.resources import files
 from typing import Callable
@@ -90,7 +89,7 @@ def load_fixture(seq_id: str) -> str:
 @dataclass(frozen=True)
 class OeisReport:
     seq_id: str
-    source: str  # "fixture" | "file" | "url"
+    source: str  # "fixture" | "file"
     warning: str | None
     rows: tuple[tuple[int, tuple[int, ...], tuple[int, ...], bool], ...]
 
@@ -129,7 +128,6 @@ def check_sequence(
     seq_id: str,
     max_n: int,
     bfile_path: str | None = None,
-    fetch_url: str | None = None,
 ) -> OeisReport:
     """Compare computed triangle rows against b-file data up to max_n."""
     if seq_id not in SEQUENCES:
@@ -138,38 +136,22 @@ def check_sequence(
     if max_n < spec.min_n:
         raise ValueError(f"max_n must be >= {spec.min_n} for {seq_id}")
 
-    source, warning = "fixture", None
-    text = None
-    if fetch_url is not None:
-        try:
-            with urllib.request.urlopen(fetch_url, timeout=30) as resp:
-                text = resp.read().decode("utf-8")
-            source = "url"
-        except Exception as exc:  # noqa: BLE001 - any fetch failure falls back
-            warning = f"fetch failed ({exc}); falling back to bundled fixture"
-    elif bfile_path is not None:
+    warning = None
+    if bfile_path is None:
+        source = "fixture"
+        values = parse_bfile(load_fixture(seq_id))
+        offset = spec.fixture_offset
+    else:
         try:
             with open(bfile_path, encoding="utf-8") as fh:
-                text = fh.read()
+                values = parse_bfile(fh.read())
         except OSError as exc:
             raise ValueError(f"cannot read b-file: {exc}") from None
         source = "file"
-    if text is None:
-        text = load_fixture(seq_id)
-        source = "fixture"
-
-    values = parse_bfile(text)
-    if source == "fixture":
-        offset = spec.fixture_offset
-    else:
-        found = _align_offset(spec, values)
-        if found is None:
+        offset = _align_offset(spec, values)
+        if offset is None:
             offset = spec.fixture_offset
-            warning = (warning + "; " if warning else "") + (
-                "could not align data head, using fixture layout"
-            )
-        else:
-            offset = found
+            warning = "could not align data head, using fixture layout"
 
     reference = rows_from_values(spec, values, max_n, offset)
     rows = []

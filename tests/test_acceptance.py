@@ -8,8 +8,6 @@ import time
 
 from worpitzky.exactnum import QPolynomial, binom
 from worpitzky.map_b import (
-    fiber_enumerate_b,
-    fiber_size_b,
     phi,
     phi_fibers,
     verify_worpitzky_a,
@@ -17,8 +15,8 @@ from worpitzky.map_b import (
 )
 from worpitzky.map_d import (
     erratum_report_d,
-    fiber_enumerate_d,
-    fiber_size_d,
+    fiber_size,
+    fiber_vectors,
     missing_case1_closed,
     missing_case2a_closed,
     missing_cases2b3_closed,
@@ -69,11 +67,11 @@ def test_criterion_3_fiber_law_b():
         for m in range(0, 4):
             oracle = phi_fibers(n, m)
             for sigma in sigmas:
-                decoded = fiber_enumerate_b(sigma, m)
+                decoded = fiber_vectors("B", sigma, m)
                 swept = oracle.get(sigma, [])
                 ok = ok and set(decoded) == set(swept)
-                ok = ok and len(swept) == fiber_size_b(sigma, m)
-                ok = ok and fiber_size_b(sigma, m) == binom(
+                ok = ok and len(swept) == fiber_size("B", sigma, m)
+                ok = ok and fiber_size("B", sigma, m) == binom(
                     n + m - sigma.des_b(), n
                 )
     report(3, "type-B fibers: oracle = chain decode, size = binom", ok)
@@ -142,7 +140,7 @@ def test_criterion_7_erratum_probes():
 
 def test_criterion_8_worked_example_regressions():
     ok = phi((1, -2, 0, -1, 3, -2), 3) == SignedPermutation((3, -4, 1, -6, -2, 5))
-    ok = ok and fiber_enumerate_d(SignedPermutation.parse("2,-3,1,4,-5"), 4) == [
+    ok = ok and fiber_vectors("D", SignedPermutation.parse("2,-3,1,4,-5"), 4) == [
         (2, 1, -2, 2, -3),
         (2, 1, -2, 2, -4),
         (2, 1, -2, 3, -4),
@@ -150,7 +148,7 @@ def test_criterion_8_worked_example_regressions():
         (3, 1, -3, 3, -4),
         (3, 2, -3, 3, -4),
     ]
-    ok = ok and set(fiber_enumerate_d(SignedPermutation.parse("-1,2,-3"), 2)) == {
+    ok = ok and set(fiber_vectors("D", SignedPermutation.parse("-1,2,-3"), 2)) == {
         (0, 0, -1),
         (0, 0, -2),
         (0, 1, -2),
@@ -193,9 +191,9 @@ def test_criterion_10_structural_invariants():
             missing_total = sum(len(vs) for vs in missing.values())
             ok = ok and associated + missing_total == space
             for s, swept in fibers_d.items():
-                decoded = fiber_enumerate_d(s, m)
+                decoded = fiber_vectors("D", s, m)
                 ok = ok and set(decoded) == set(swept)
-                ok = ok and len(decoded) == fiber_size_d(s, m)
+                ok = ok and len(decoded) == fiber_size("D", s, m)
             for vectors in missing.values():
                 ok = ok and all(v.count(0) <= 1 for v in vectors)
             for sigma, vectors in fibers_d.items():

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from worpitzky.cli import main
-from worpitzky.map_b import fiber_enumerate_b, fiber_size_b, phi
+from worpitzky.eulerian import eulerian_row_d_q
+from worpitzky.map_b import phi
+from worpitzky.map_d import fiber_size, fiber_vectors
 from worpitzky.signed_perm import SignedPermutation
 
 
@@ -138,6 +140,18 @@ def test_verify_type_d_needs_n_at_least_two(capsys):
     assert code == 2 and "requires n >= 2" in err
 
 
+def test_verify_refuses_rows_above_the_bound_before_any_work(capsys):
+    eulerian_row_d_q.cache_clear()
+    code, out, err = run(
+        capsys, "verify", "--identity", "worpitzky-d",
+        "--n-range", "50..51", "--m-range", "0..0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: n must be <= 50\n"
+    info = eulerian_row_d_q.cache_info()
+    assert info.currsize == info.misses == 0
+
+
 def test_fibers_single_sigma(capsys):
     code, out, _ = run(
         capsys, "fibers", "--type", "D", "--n", "5", "--m", "4",
@@ -163,6 +177,29 @@ def test_fibers_all_sigmas(capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize(
+    "group,n,sigma", [("B", "2", "-2,1"), ("D", "3", "-1,2,-3")], ids=["B", "D"]
+)
+def test_fibers_single_sigma_equals_its_all_sigma_entry(capsys, group, n, sigma):
+    # the --sigma report streams the vector space, the all-sigma one reads the
+    # whole-space oracle: both routes must give the same report
+    argv = ["fibers", "--type", group, "--n", n, "--m", "1", "--format", "json"]
+    code, one, _ = run(capsys, *argv, "--sigma", sigma)
+    assert code == 0
+    code, every, _ = run(capsys, *argv, "--vectors")
+    assert code == 0
+    (entry,) = [d for d in json.loads(every) if d["sigma"] == sigma]
+    assert json.loads(one) == entry
+
+
+def test_fibers_type_d_sigma_outside_dn_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "fibers", "--type", "D", "--n", "3", "--m", "1", "--sigma", "-1,2,3"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: sigma must have an even number of negative entries\n"
+
+
 def test_fiber_json_round_trip(capsys):
     code, out, _ = run(
         capsys, "fibers", "--type", "B", "--n", "2", "--m", "2",
@@ -173,9 +210,9 @@ def test_fiber_json_round_trip(capsys):
     # re-parse the dump and re-verify: same pass verdict
     sigma = SignedPermutation.parse(dump["sigma"])
     vectors = {tuple(v) for v in dump["vectors"]}
-    assert dump["expected"] == fiber_size_b(sigma, dump["m"])
+    assert dump["expected"] == fiber_size("B", sigma, dump["m"])
     assert dump["actual"] == len(vectors)
-    assert vectors == set(fiber_enumerate_b(sigma, dump["m"]))
+    assert vectors == set(fiber_vectors("B", sigma, dump["m"]))
     assert all(phi(v, dump["m"]) == sigma for v in vectors)
     assert dump["pass"] is True
 
@@ -213,6 +250,17 @@ def test_oeis_check_mismatch_exits_one(capsys, tmp_path):
     assert code == 1 and "MISMATCH" in out
 
 
+def test_oeis_check_warns_when_the_bfile_head_does_not_align(capsys, tmp_path):
+    foreign = tmp_path / "foreign.txt"
+    foreign.write_text("".join(f"{i} 9\n" for i in range(1, 21)))
+    code, out, err = run(
+        capsys, "oeis-check", "--seq", "A262226", "--max-n", "2",
+        "--bfile", str(foreign),
+    )
+    assert code == 1 and "MISMATCH" in out
+    assert err == "warning: could not align data head, using fixture layout\n"
+
+
 def test_oeis_check_missing_bfile_is_usage_error(capsys, tmp_path):
     missing = tmp_path / "absent.txt"
     code, out, err = run(
@@ -223,13 +271,20 @@ def test_oeis_check_missing_bfile_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: cannot read b-file") and err.count("\n") == 1
 
 
-def test_oeis_fetch_fallback_warns(capsys):
-    code, out, err = run(
-        capsys, "oeis-check", "--seq", "A060187", "--max-n", "3",
-        "--fetch", "http://127.0.0.1:1/na.txt",
-    )
-    assert code == 0
-    assert "falling back" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fibers", "--type", "B", "--n", "2", "--m", "1"],
+        ["missing", "--n", "2", "--m", "1"],
+        ["oeis-check", "--seq", "A060187", "--max-n", "3"],
+    ],
+    ids=["fibers", "missing", "oeis-check"],
+)
+def test_csv_is_offered_only_where_it_is_written(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_output_deterministic_across_jobs(capsys):

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from worpitzky.exactnum import QPolynomial
 from worpitzky.map_b import (
-    fiber_enumerate_b,
-    fiber_report_b,
-    fiber_size_b,
     phi,
     phi_fibers,
     verify_worpitzky_a,
     verify_worpitzky_b,
 )
+from worpitzky.map_d import fiber_size, fiber_vectors
 from worpitzky.signed_perm import SignedPermutation, identity
 from worpitzky.sigma_vectors import enumerate_vectors, neg_vec
 
@@ -64,18 +62,18 @@ def test_phi_descent_strictness(vm):
 
 
 def test_fiber_size_worked_example():
-    assert fiber_size_b(SignedPermutation.parse("2,-1,4,-5,3"), 3) == 6
+    assert fiber_size("B", SignedPermutation.parse("2,-1,4,-5,3"), 3) == 6
 
 
 def test_fiber_size_identity_m0():
-    assert fiber_size_b(identity(4), 0) == 1
-    assert fiber_enumerate_b(identity(4), 0) == [(0, 0, 0, 0)]
+    assert fiber_size("B", identity(4), 0) == 1
+    assert fiber_vectors("B", identity(4), 0) == [(0, 0, 0, 0)]
 
 
 def test_fiber_single_negative_entry():
     sigma = SignedPermutation((-1,))
-    assert fiber_size_b(sigma, 2) == 2
-    assert set(fiber_enumerate_b(sigma, 2)) == {(-1,), (-2,)}
+    assert fiber_size("B", sigma, 2) == 2
+    assert set(fiber_vectors("B", sigma, 2)) == {(-1,), (-2,)}
     # forward-map oracle over all five vectors
     oracle = {v for v in enumerate_vectors(1, 2) if phi(v, 2) == sigma}
     assert oracle == {(-1,), (-2,)}
@@ -87,9 +85,9 @@ def test_fibers_match_forward_oracle(n, m):
     oracle = phi_fibers(n, m)
     total = 0
     for sigma, vectors in oracle.items():
-        decoded = fiber_enumerate_b(sigma, m)
+        decoded = fiber_vectors("B", sigma, m)
         assert set(decoded) == set(vectors)
-        assert len(decoded) == fiber_size_b(sigma, m)
+        assert len(decoded) == fiber_size("B", sigma, m)
         total += len(vectors)
     assert total == (2 * m + 1) ** n
 
@@ -99,16 +97,6 @@ def test_fibers_partition_vector_space():
     fibers = phi_fibers(n, m)
     seen = [v for vectors in fibers.values() for v in vectors]
     assert len(seen) == len(set(seen)) == (2 * m + 1) ** n
-
-
-def test_fiber_report():
-    report = fiber_report_b(SignedPermutation((-1,)), 2)
-    assert report.passed
-    assert report.expected_size == report.oracle_size == 2
-    d = report.to_json_dict()
-    assert d["sigma"] == "-1"
-    assert d["expected"] == d["actual"] == 2
-    assert sorted(d["vectors"]) == [[-2], [-1]]
 
 
 def test_worpitzky_b_n2_m1():

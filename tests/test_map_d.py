@@ -11,9 +11,9 @@ from worpitzky.exactnum import ONE_PLUS_Q, QPolynomial
 from worpitzky.map_d import (
     MISSING_CASES,
     erratum_report_d,
-    fiber_enumerate_d,
-    fiber_report_d,
-    fiber_size_d,
+    fiber_report,
+    fiber_size,
+    fiber_vectors,
     missing_case1_closed,
     missing_case2a_closed,
     missing_cases2b3_closed,
@@ -59,8 +59,8 @@ def test_psi_needs_length_two():
 
 def test_fiber_worked_example_a():
     sigma = SignedPermutation.parse("2,-3,1,4,-5")
-    assert fiber_size_d(sigma, 4) == 6
-    assert fiber_enumerate_d(sigma, 4) == [
+    assert fiber_size("D", sigma, 4) == 6
+    assert fiber_vectors("D", sigma, 4) == [
         (2, 1, -2, 2, -3),
         (2, 1, -2, 2, -4),
         (2, 1, -2, 3, -4),
@@ -72,7 +72,7 @@ def test_fiber_worked_example_a():
 
 def test_fiber_worked_example_b():
     sigma = SignedPermutation.parse("-1,2,-3")
-    assert set(fiber_enumerate_d(sigma, 2)) == {
+    assert set(fiber_vectors("D", sigma, 2)) == {
         (0, 0, -1),
         (0, 0, -2),
         (0, 1, -2),
@@ -82,13 +82,19 @@ def test_fiber_worked_example_b():
 
 def test_fiber_all_negative_pair():
     sigma = SignedPermutation((-2, -1))
-    assert fiber_enumerate_d(sigma, 1) == [(-1, -1)]
-    assert fiber_size_d(sigma, 1) == 1
+    assert fiber_vectors("D", sigma, 1) == [(-1, -1)]
+    assert fiber_size("D", sigma, 1) == 1
 
 
 def test_fiber_rejects_odd_sign_count():
     with pytest.raises(ValueError):
-        fiber_enumerate_d(SignedPermutation((-1, 2)), 1)
+        fiber_vectors("D", SignedPermutation((-1, 2)), 1)
+
+
+@pytest.mark.parametrize("fn", [fiber_size, fiber_vectors, fiber_report])
+def test_fiber_functions_reject_an_unknown_type(fn):
+    with pytest.raises(ValueError, match="unknown type 'A'"):
+        fn("A", SignedPermutation((1, 2)), 1)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -99,15 +105,55 @@ def test_fibers_match_forward_oracle(m):
     total += sum(len(vs) for vs in missing.values())
     assert total == (2 * m + 1) ** n
     for sigma, vectors in fibers.items():
-        decoded = fiber_enumerate_d(sigma, m)
+        decoded = fiber_vectors("D", sigma, m)
         assert set(decoded) == set(vectors)
-        assert len(decoded) == fiber_size_d(sigma, m)
+        assert len(decoded) == fiber_size("D", sigma, m)
 
 
-def test_fiber_report_passes():
-    report = fiber_report_d(SignedPermutation.parse("-1,2,-3"), 2)
+@pytest.mark.parametrize(
+    "group,sigma,m,vectors",
+    [
+        ("B", "-1", 2, [[-2], [-1]]),
+        ("D", "-1,2,-3", 2, [[-1, 1, -2], [0, 0, -2], [0, 0, -1], [0, 1, -2]]),
+    ],
+    ids=["B", "D"],
+)
+def test_fiber_report(group, sigma, m, vectors):
+    report = fiber_report(group, SignedPermutation.parse(sigma), m)
     assert report.passed
-    assert report.expected_size == report.oracle_size == 4
+    assert report.expected_size == report.oracle_size == len(vectors)
+    d = report.to_json_dict()
+    assert d["type"] == group
+    assert d["sigma"] == sigma
+    assert d["expected"] == d["actual"] == len(vectors)
+    assert sorted(d["vectors"]) == vectors
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_vectors_rejects_a_chain_that_does_not_map_back(monkeypatch, group):
+    # (1, 0) decodes to the vector (1, 0), which both maps send to 2,1
+    monkeypatch.setattr(map_d, "decode_abs_chains", lambda des_set, n, m: iter([(1, 0)]))
+    with pytest.raises(ArithmeticError, match="does not map back"):
+        fiber_vectors(group, SignedPermutation((1, 2)), 1)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_report_fails_on_a_repeated_chain(monkeypatch, group):
+    # a decoder that yields one chain twice still covers the swept fiber as a
+    # set, and every decoded vector maps back; only the length rule catches it
+    chains = map_d.decode_abs_chains
+
+    def repeat_first(des_set, n, m):
+        decoded = list(chains(des_set, n, m))
+        return iter(decoded + decoded[:1])
+
+    sigma = SignedPermutation.parse("-1,2,-3")
+    expected = fiber_report(group, sigma, 2)
+    monkeypatch.setattr(map_d, "decode_abs_chains", repeat_first)
+    report = fiber_report(group, sigma, 2)
+    assert set(report.vectors) == set(expected.vectors)
+    assert report.oracle_size == report.expected_size == expected.expected_size
+    assert not report.passed
 
 
 def test_missing_vectors_have_at_most_one_zero():

@@ -66,15 +66,6 @@ def test_foreign_head_is_aligned(tmp_path):
     assert report.passed
 
 
-def test_fetch_failure_falls_back_to_fixture():
-    report = check_sequence(
-        "A060187", 4, fetch_url="http://127.0.0.1:1/nonexistent.txt"
-    )
-    assert report.source == "fixture"
-    assert report.warning is not None
-    assert report.passed
-
-
 def test_insufficient_values_rejected():
     spec = SEQUENCES["A262226"]
     with pytest.raises(ValueError, match="not enough"):
