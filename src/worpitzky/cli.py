@@ -22,7 +22,7 @@ from functools import lru_cache
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
 from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
-from .sigma_vectors import parse_vector
+from .sigma_vectors import format_vector, parse_vector
 
 JOBS_ENV_VAR = "WORPITZKY_JOBS"
 
@@ -161,33 +161,36 @@ def cmd_fibers(args) -> int:
         sigma = SignedPermutation.parse(args.sigma)
         if sigma.n != args.n:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
-        reports = [map_d.fiber_report(args.type, sigma, args.m)]
+        group, oracle = [sigma], None
+    elif args.type == "B":
+        oracle = map_b.phi_fibers(args.n, args.m)
+        group = enumerate_bn(args.n)
     else:
-        if args.type == "B":
-            oracle = map_b.phi_fibers(args.n, args.m)
-            group = enumerate_bn(args.n)
+        oracle, _ = map_d.psi_fibers(args.n, args.m)
+        group = enumerate_dn(args.n)
+    show_vectors = args.vectors or args.sigma is not None
+    # all-sigma JSON is one list, written an item at a time as json.dumps would
+    listing = args.format == "json" and args.sigma is None
+    ok = True
+    for i, sigma in enumerate(group):
+        r = map_d.fiber_report(args.type, sigma, args.m, oracle=oracle)
+        ok = ok and r.passed
+        if args.format == "json":
+            payload = r.to_json_dict()
+            if not show_vectors:
+                del payload["vectors"]
+            head = ("[" if i == 0 else ", ") if listing else ""
+            print(head + json.dumps(payload), end="" if listing else "\n")
         else:
-            oracle, _ = map_d.psi_fibers(args.n, args.m)
-            group = enumerate_dn(args.n)
-        reports = [
-            map_d.fiber_report(
-                args.type, sigma, args.m, include_vectors=args.vectors, oracle=oracle
-            )
-            for sigma in group
-        ]
-    ok = all(r.passed for r in reports)
-    if args.format == "json":
-        payload = [r.to_json_dict() for r in reports]
-        print(json.dumps(payload[0] if args.sigma is not None else payload))
-    else:
-        for r in reports:
             print(
                 f"sigma={r.sigma.format()} m={r.m} expected={r.expected_size} "
                 f"actual={r.oracle_size} {'ok' if r.passed else 'MISMATCH'}"
             )
-            if r.vectors is not None and args.sigma is not None:
+            if show_vectors:
                 for v in r.vectors:
-                    print("  " + ",".join(str(a) for a in v))
+                    print("  " + format_vector(v))
+    if listing:
+        print("]")
     return 0 if ok else 1
 
 

@@ -19,7 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
+from operator import add, methodcaller, sub
 
 from .exactnum import QPolynomial
 from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn, enumerate_sn
@@ -85,11 +85,12 @@ def enumerated_row(group: str, n: int) -> EulerianRow:
     _check_n(group, n)
     if group == "A":
         elements = (SignedPermutation(p) for p in enumerate_sn(n))
-        entries = _tally(elements, SignedPermutation.des_a, SignedPermutation.neg, n, n - 1)
-    elif group == "B":
-        entries = _tally(enumerate_bn(n), SignedPermutation.des_b, SignedPermutation.neg, n, n)
     else:
-        entries = _tally(enumerate_dn(n), SignedPermutation.des_d, SignedPermutation.neg2, n, n)
+        elements = enumerate_bn(n) if group == "B" else enumerate_dn(n)
+    weight = SignedPermutation.neg2 if group == "D" else SignedPermutation.neg
+    # type A has no position 0, so its row ends at k = n - 1
+    k_max = n - 1 if group == "A" else n
+    entries = _tally(elements, methodcaller("des", group), weight, n, k_max)
     return EulerianRow(group, n, entries)
 
 

@@ -55,12 +55,6 @@ class QPolynomial:
     def q(cls) -> "QPolynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "QPolynomial":
-        if power < 0:
-            raise ValueError("negative power")
-        return cls((0,) * power + (coeff,))
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -198,6 +192,5 @@ class QPolynomial:
         return f"QPolynomial({list(self._coeffs)!r})"
 
 
-ONE = QPolynomial.one()
 Q = QPolynomial.q()
 ONE_PLUS_Q = QPolynomial((1, 1))

@@ -19,6 +19,7 @@ chains: a vector in the fiber of sigma corresponds to a chain
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -47,12 +48,13 @@ def phi(v: Sequence[int], m: int | None = None) -> SignedPermutation:
 
 
 def decode_abs_chains(
-    des_set: frozenset[int], n: int, m: int
+    descents: tuple[int, ...], n: int, m: int
 ) -> Iterator[tuple[int, ...]]:
     """Absolute-value sequences |a_{|sigma_1|}|..|a_{|sigma_n|}| for every
-    strictly increasing chain in [1, m + n - |des_set|]."""
-    top = m + n - len(des_set)
-    prefix = [sum(1 for j in des_set if j < i) for i in range(1, n + 1)]
+    strictly increasing chain in [1, m + n - des], from the increasing
+    descent positions of sigma."""
+    top = m + n - len(descents)
+    prefix = [bisect_left(descents, i) for i in range(1, n + 1)]
     for chain in itertools.combinations(range(1, top + 1), n):
         yield tuple(b - i + prefix[i - 1] for i, b in enumerate(chain, start=1))
 
@@ -117,21 +119,19 @@ class FiberReport:
     m: int
     expected_size: int
     oracle_size: int
-    vectors: tuple[Vector, ...] | None
+    vectors: tuple[Vector, ...]
     passed: bool
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "type": self.group,
             "sigma": self.sigma.format(),
             "m": self.m,
             "expected": self.expected_size,
             "actual": self.oracle_size,
             "pass": self.passed,
+            "vectors": [list(v) for v in self.vectors],
         }
-        if self.vectors is not None:
-            d["vectors"] = [list(v) for v in self.vectors]
-        return d
 
 
 # -- identity verification --------------------------------------------------

@@ -121,16 +121,16 @@ def psi(v, m: int | None = None) -> MapOutcome:
 
 # -- fibers -----------------------------------------------------------------
 
-def fiber_size(group: str, sigma: SignedPermutation, m: int) -> int:
-    """C(n + m - des(sigma), n): the fiber size of sigma under phi (type B,
-    des_B) or psi (type D, des_D)."""
-    if group == "B":
-        des = sigma.des_b()
-    elif group == "D":
-        des = sigma.des_d()
-    else:
+def _check_fiber_type(group: str) -> None:
+    if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
-    return binom(sigma.n + m - des, sigma.n)
+
+
+def fiber_size(group: str, sigma: SignedPermutation, m: int) -> int:
+    """C(n + m - des(sigma), n): the fiber size of sigma under phi (type B)
+    or psi (type D), with the type's descent count."""
+    _check_fiber_type(group)
+    return binom(sigma.n + m - sigma.des(group), sigma.n)
 
 
 def _forward(group: str, v: Vector) -> SignedPermutation | None:
@@ -147,19 +147,15 @@ def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
     flip reads as negative).  Every decoded vector is validated by a
     forward map call; a mismatch is a hard failure, never a silent skip.
     """
-    if group == "B":
-        des_set = sigma.des_b_set()
-    elif group == "D":
-        if not sigma.is_in_dn():
-            raise ValueError("sigma must have an even number of negative entries")
-        des_set = sigma.des_d_set()
-    else:
-        raise ValueError(f"unknown type {group!r}, expected B or D")
+    _check_fiber_type(group)
+    if group == "D" and not sigma.is_in_dn():
+        raise ValueError("sigma must have an even number of negative entries")
+    descents = sigma.descents(group)
     if m < 0:
         raise ValueError("m must be >= 0")
     n = sigma.n
     out = []
-    for abs_vals in decode_abs_chains(des_set, n, m):
+    for abs_vals in decode_abs_chains(descents, n, m):
         a = [0] * n
         for entry, av in zip(sigma.window, abs_vals):
             a[abs(entry) - 1] = -av if entry < 0 else av
@@ -190,7 +186,6 @@ def fiber_report(
     group: str,
     sigma: SignedPermutation,
     m: int,
-    include_vectors: bool = True,
     oracle: dict[SignedPermutation, list[Vector]] | None = None,
 ) -> FiberReport:
     """Compare the chain decoding of a fiber against the forward map: the
@@ -203,15 +198,7 @@ def fiber_report(
         swept = oracle.get(sigma, [])
     expected = fiber_size(group, sigma, m)
     passed = expected == len(swept) == len(decoded) and set(decoded) == set(swept)
-    return FiberReport(
-        group,
-        sigma,
-        m,
-        expected,
-        len(swept),
-        tuple(decoded) if include_vectors else None,
-        passed,
-    )
+    return FiberReport(group, sigma, m, expected, len(swept), tuple(decoded), passed)
 
 
 # -- missing-vector census ----------------------------------------------------

@@ -110,13 +110,16 @@ class OeisReport:
         }
 
 
-def _align_offset(spec: SequenceSpec, values: list[int]) -> int | None:
+def _align_offset(spec: SequenceSpec, values: list[int], max_n: int) -> int | None:
     """Find the head offset at which the first checkable row appears.
 
     External b-files may carry extra degenerate rows before the first row
-    this engine can compute; try small offsets and anchor on the first row.
+    this engine can compute; try small offsets and anchor on the first two
+    rows checked (one short row like (1, 1) can also match across a row
+    boundary).
     """
-    anchor = spec.computed_row(spec.min_n)
+    rows = range(spec.min_n, min(max_n, spec.min_n + 1) + 1)
+    anchor = sum(map(spec.computed_row, rows), ())
     width = len(anchor)
     for offset in range(0, 9):
         if tuple(values[offset : offset + width]) == anchor:
@@ -148,7 +151,7 @@ def check_sequence(
         except OSError as exc:
             raise ValueError(f"cannot read b-file: {exc}") from None
         source = "file"
-        offset = _align_offset(spec, values)
+        offset = _align_offset(spec, values, max_n)
         if offset is None:
             offset = spec.fixture_offset
             warning = "could not align data head, using fixture layout"

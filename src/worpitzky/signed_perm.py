@@ -6,7 +6,8 @@ A signed permutation on n letters is stored as its window
 {-n, ..., -1, 1, ..., n} with sigma(-i) = -sigma(i) is implicit; every
 statistic here reads only the window.
 
-Descent sets come in three flavours:
+Descent sets come in three flavours, read by ``descents(group)`` and
+counted by ``des(group)``:
 
 * type A: positions i in [1, n-1] with sigma_i > sigma_{i+1};
 * type B: type A plus position 0 when sigma_1 < 0;
@@ -19,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from operator import gt, mul
 from typing import Iterator, Sequence
+
+from .sigma_vectors import format_vector, parse_vector
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,10 @@ class SignedPermutation:
     @classmethod
     def parse(cls, text: str) -> "SignedPermutation":
         """Parse comma-separated signed integers, e.g. ``2,-1,4,-5,3``."""
-        entries = []
-        for pos, token in enumerate(text.split(","), start=1):
-            try:
-                entries.append(int(token.strip()))
-            except ValueError:
-                raise ValueError(f"invalid integer {token.strip()!r} at position {pos}") from None
-        return cls(tuple(entries))
+        return cls(parse_vector(text))
 
     def format(self) -> str:
-        return ",".join(str(x) for x in self.window)
+        return format_vector(self.window)
 
     def __str__(self) -> str:
         return self.format()
@@ -75,33 +72,31 @@ class SignedPermutation:
         """Invert the sign of the first window entry."""
         return SignedPermutation((-self.window[0],) + self.window[1:])
 
-    # -- descent sets ------------------------------------------------------
+    # -- descents ------------------------------------------------------------
 
-    def des_a_set(self) -> frozenset[int]:
+    def _zero_descent(self, group: str) -> bool:
+        """Whether position 0 is a type-``group`` descent."""
         w = self.window
-        return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
+        if group == "B":
+            return w[0] < 0
+        if group == "D":
+            if len(w) < 2:
+                raise ValueError("type-D descents need at least two entries")
+            return w[0] + w[1] < 0
+        if group == "A":
+            return False
+        raise ValueError(f"unknown type {group!r}, expected A, B or D")
 
-    def des_b_set(self) -> frozenset[int]:
-        des = self.des_a_set()
-        return des | {0} if self.window[0] < 0 else des
-
-    def des_d_set(self) -> frozenset[int]:
-        if self.n < 2:
-            raise ValueError("type-D descents need at least two entries")
-        des = self.des_a_set()
-        return des | {0} if self.window[0] + self.window[1] < 0 else des
-
-    def des_a(self) -> int:
+    def descents(self, group: str) -> tuple[int, ...]:
+        """The type-``group`` descent positions in increasing order."""
         w = self.window
-        return sum(map(gt, w, w[1:]))
+        inner = tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
+        return (0,) + inner if self._zero_descent(group) else inner
 
-    def des_b(self) -> int:
-        return self.des_a() + (self.window[0] < 0)
-
-    def des_d(self) -> int:
-        if self.n < 2:
-            raise ValueError("type-D descents need at least two entries")
-        return self.des_a() + (self.window[0] + self.window[1] < 0)
+    def des(self, group: str) -> int:
+        """The number of type-``group`` descents."""
+        w = self.window
+        return self._zero_descent(group) + sum(map(gt, w, w[1:]))
 
     # -- sign statistics ----------------------------------------------------
 

@@ -72,7 +72,7 @@ def test_criterion_3_fiber_law_b():
                 ok = ok and set(decoded) == set(swept)
                 ok = ok and len(swept) == fiber_size("B", sigma, m)
                 ok = ok and fiber_size("B", sigma, m) == binom(
-                    n + m - sigma.des_b(), n
+                    n + m - sigma.des("B"), n
                 )
     report(3, "type-B fibers: oracle = chain decode, size = binom", ok)
 
@@ -181,7 +181,7 @@ def test_criterion_10_structural_invariants():
                 for v in vectors:
                     ok = ok and neg_vec(v) == sigma.neg()
                     chain = _abs_chain(v, sigma)
-                    for j in sigma.des_b_set():
+                    for j in sigma.descents("B"):
                         ok = ok and (chain[0] > 0 if j == 0 else chain[j - 1] < chain[j])
 
             if n < 2:
@@ -200,6 +200,6 @@ def test_criterion_10_structural_invariants():
                 for v in vectors:
                     ok = ok and neg2_vec(v) == sigma.neg2()
                     chain = _abs_chain(v, sigma)
-                    for j in sigma.des_d_set():
+                    for j in sigma.descents("D"):
                         ok = ok and (chain[0] > 0 if j == 0 else chain[j - 1] < chain[j])
     report(10, "partition, statistic preservation, descent strictness, n<=4 m<=3", ok)

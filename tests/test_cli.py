@@ -1,16 +1,19 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from worpitzky import map_d
 from worpitzky.cli import main
 from worpitzky.eulerian import eulerian_row_d_q
-from worpitzky.map_b import phi
-from worpitzky.map_d import fiber_size, fiber_vectors
-from worpitzky.signed_perm import SignedPermutation
+from worpitzky.map_b import phi, phi_fibers
+from worpitzky.map_d import fiber_report, fiber_size, fiber_vectors, psi_fibers
+from worpitzky.signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
+from worpitzky.sigma_vectors import enumerate_vectors, parse_vector
 
 
 def run(capsys, *argv):
@@ -175,6 +178,60 @@ def test_fibers_all_sigmas(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 8
     assert "MISMATCH" not in out
+
+
+def test_fibers_all_sigmas_show_vectors_under_each_line(capsys):
+    _, plain, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1")
+    code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1", "--vectors")
+    assert code == 0
+    sigma_lines = [line for line in out.splitlines() if line.startswith("sigma=")]
+    assert sigma_lines == plain.splitlines()
+    shown = []
+    for line in out.splitlines():
+        if line.startswith("sigma="):
+            sigma = SignedPermutation.parse(line.split()[0][len("sigma="):])
+        else:
+            assert line.startswith("  ")
+            v = parse_vector(line)
+            assert phi(v) == sigma
+            shown.append(v)
+    assert sorted(shown) == sorted(enumerate_vectors(2, 1))
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["plain", "vectors"])
+@pytest.mark.parametrize("group,n", [("B", 2), ("D", 3)], ids=["B", "D"])
+def test_fibers_all_sigma_json_is_the_dumped_list_of_reports(capsys, group, n, vectors):
+    argv = ["fibers", "--type", group, "--n", str(n), "--m", "1", "--format", "json"]
+    code, out, _ = run(capsys, *argv, *(["--vectors"] if vectors else []))
+    assert code == 0
+    if group == "B":
+        oracle, elements = phi_fibers(n, 1), enumerate_bn(n)
+    else:
+        oracle, elements = psi_fibers(n, 1)[0], enumerate_dn(n)
+    payload = []
+    for sigma in elements:
+        d = fiber_report(group, sigma, 1, oracle=oracle).to_json_dict()
+        if not vectors:
+            del d["vectors"]
+        payload.append(d)
+    assert out == json.dumps(payload) + "\n"
+
+
+def test_fibers_exit_code_counts_every_report(capsys, monkeypatch):
+    # one failing report in the middle of the stream fails the run, and the
+    # reports after it are still printed
+    real = map_d.fiber_report
+    calls = []
+
+    def fail_the_second(*args, **kwargs):
+        report = real(*args, **kwargs)
+        calls.append(report)
+        return dataclasses.replace(report, passed=False) if len(calls) == 2 else report
+
+    monkeypatch.setattr(map_d, "fiber_report", fail_the_second)
+    code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1", "--format", "json")
+    assert code == 1
+    assert [d["pass"] for d in json.loads(out)] == [True, False] + [True] * 6
 
 
 @pytest.mark.parametrize(

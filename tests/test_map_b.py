@@ -54,7 +54,7 @@ def test_phi_descent_strictness(vm):
     v, m = vm
     sigma = phi(v, m)
     abs_vals = [abs(v[abs(s) - 1]) for s in sigma.window]
-    for j in sigma.des_b_set():
+    for j in sigma.descents("B"):
         if j == 0:
             assert abs_vals[0] > 0
         else:

@@ -329,6 +329,12 @@ def test_erratum_report_values():
     assert report.extras["rhs_at_q1"] == 5
 
 
+def test_type_d_identities_at_n20():
+    # beyond any enumeration: the DP row against both closed-form routes
+    assert all(verify_worpitzky_d_q1(20, m).passed for m in range(6))
+    assert erratum_report_d(20, 1).passed
+
+
 def test_invariant_checks_survive_optimize_flag():
     # `python -O` strips assert statements, so invariants must raise explicitly
     for path in sorted(Path(worpitzky.__file__).parent.glob("*.py")):

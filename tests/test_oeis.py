@@ -1,5 +1,7 @@
 """b-file parsing and the OEIS triangle cross-checks."""
 
+from importlib.resources import files
+
 import pytest
 
 from worpitzky.oeis import (
@@ -64,6 +66,24 @@ def test_foreign_head_is_aligned(tmp_path):
     f.write_text(text)
     report = check_sequence("A262226", 3, bfile_path=str(f))
     assert report.passed
+
+
+@pytest.mark.parametrize("seq_id", sorted(SEQUENCES))
+def test_bundled_fixture_passes_as_its_own_bfile(seq_id):
+    # A060187's rank-0 row (1) and the n=1 row (1, 1) put "1, 1" at two
+    # offsets, so one anchor row is not enough to align the head
+    path = files("worpitzky").joinpath("data", SEQUENCES[seq_id].fixture)
+    report = check_sequence(seq_id, 4, bfile_path=str(path))
+    assert report.passed
+    assert report.warning is None
+
+
+def test_a_bfile_with_only_the_first_row_aligns(tmp_path):
+    f = tmp_path / "one_row.txt"
+    f.write_text("1 1\n2 2\n3 1\n")
+    report = check_sequence("A262226", 2, bfile_path=str(f))
+    assert report.passed
+    assert report.warning is None
 
 
 def test_insufficient_values_rejected():

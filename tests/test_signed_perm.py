@@ -52,26 +52,42 @@ def test_parse_format_round_trip(sigma):
 
 
 def test_des_a():
-    assert SignedPermutation((-1, 2, -5, 4, 3)).des_a_set() == {2, 4}
-    assert identity(4).des_a_set() == frozenset()
-    assert SignedPermutation((3, 2, 1)).des_a_set() == {1, 2}
+    assert SignedPermutation((-1, 2, -5, 4, 3)).descents("A") == (2, 4)
+    assert identity(4).descents("A") == ()
+    assert SignedPermutation((3, 2, 1)).descents("A") == (1, 2)
 
 
 def test_des_b():
-    assert SignedPermutation((-1, 2, -5, 4, 3)).des_b_set() == {0, 2, 4}
-    assert SignedPermutation((2, -1, 4, -5, 3)).des_b_set() == {1, 3}
-    assert identity(3).des_b_set() == frozenset()
+    assert SignedPermutation((-1, 2, -5, 4, 3)).descents("B") == (0, 2, 4)
+    assert SignedPermutation((2, -1, 4, -5, 3)).descents("B") == (1, 3)
+    assert identity(3).descents("B") == ()
 
 
 def test_des_d():
-    assert SignedPermutation((-3, 2, 6, -5, 1, 4)).des_d_set() == {0, 3}
-    assert SignedPermutation((2, -3, 1, 4, -5)).des_d_set() == {0, 1, 4}
-    assert identity(3).des_d_set() == frozenset()
+    assert SignedPermutation((-3, 2, 6, -5, 1, 4)).descents("D") == (0, 3)
+    assert SignedPermutation((2, -3, 1, 4, -5)).descents("D") == (0, 1, 4)
+    assert identity(3).descents("D") == ()
 
 
 def test_des_d_needs_two_entries():
     with pytest.raises(ValueError):
-        SignedPermutation((1,)).des_d_set()
+        SignedPermutation((1,)).descents("D")
+
+
+@pytest.mark.parametrize("group", ["A", "B", "D"])
+def test_des_counts_the_increasing_descent_tuple(group):
+    for sigma in enumerate_bn(4):
+        descents = sigma.descents(group)
+        assert sigma.des(group) == len(descents)
+        assert all(i < j for i, j in zip(descents, descents[1:]))
+
+
+@pytest.mark.parametrize("method", ["descents", "des"])
+def test_descent_rule_rejects_an_unknown_type_and_a_short_d_window(method):
+    with pytest.raises(ValueError, match="unknown type 'C'"):
+        getattr(identity(3), method)("C")
+    with pytest.raises(ValueError, match="at least two entries"):
+        getattr(SignedPermutation((1,)), method)("D")
 
 
 def test_neg():
@@ -116,11 +132,11 @@ def test_enumeration_is_deterministic():
 
 def test_descent_sets_nest():
     for sigma in enumerate_bn(3):
-        des_a = sigma.des_a_set()
-        assert sigma.des_b_set() >= des_a
-        assert sigma.des_b_set() - des_a <= {0}
-        assert sigma.des_d_set() >= des_a
-        assert sigma.des_d_set() - des_a <= {0}
+        type_a = set(sigma.descents("A"))
+        assert set(sigma.descents("B")) >= type_a
+        assert set(sigma.descents("B")) - type_a <= {0}
+        assert set(sigma.descents("D")) >= type_a
+        assert set(sigma.descents("D")) - type_a <= {0}
 
 
 def test_neg2_drops_first_position_sign():
