@@ -17,6 +17,7 @@ from .map_d import (
     MapOutcome,
     MissingCensus,
     erratum_report_d,
+    fiber_counts,
     fiber_report,
     fiber_size,
     fiber_vectors,
@@ -57,6 +58,7 @@ __all__ = [
     "eulerian_row_a",
     "eulerian_row_b_q",
     "eulerian_row_d_q",
+    "fiber_counts",
     "fiber_report",
     "fiber_size",
     "fiber_vectors",

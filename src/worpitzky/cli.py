@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import repeat
 
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
@@ -35,11 +36,18 @@ class UsageError(Exception):
 
 D_IDENTITIES = ("worpitzky-d", "balance-d", "erratum-d")
 
+# Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11: a
+# --sigma report sweeps about 10^5 vectors/s (5^8 vectors: 3.6 s) and
+# all-sigma reports run at about 10^5/s (B_7 at m=1: 6 s; at m=2 with JSON
+# vectors, the largest admitted, 11 s; B_8 would be 16 times B_7).
+MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
+MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
+
 
 def _check_args(args) -> None:
     """Post-validation argparse cannot express: resolve the job count,
     require n >= 2 wherever type D is involved, and bound the verify grid
-    before any report is built."""
+    and the fibers work before any report is built."""
     if hasattr(args, "jobs"):
         args.jobs = _job_count(args.jobs)
     n_lo = args.n_range[0] if hasattr(args, "n_range") else getattr(args, "n", None)
@@ -53,6 +61,29 @@ def _check_args(args) -> None:
             raise UsageError("need n >= 1 and m >= 0")
         if args.n_range[1] > MAX_ROW_N:
             raise UsageError(f"n must be <= {MAX_ROW_N}")
+    if args.command == "fibers":
+        if args.n < 1 or args.m < 0:
+            raise UsageError("need n >= 1 and m >= 0")
+        if args.m and _exceeds(repeat(2 * args.m + 1, args.n), MAX_FIBER_VECTORS):
+            raise UsageError(f"fibers sweeps (2m+1)^n vectors, at most {MAX_FIBER_VECTORS}")
+        # |B_n| = 2 * 4 * ... * 2n, and D_n is half of B_n
+        cap = MAX_FIBER_REPORTS * (2 if args.type == "D" else 1)
+        if args.sigma is None and _exceeds(range(2, 2 * args.n + 1, 2), cap):
+            raise UsageError(
+                f"all-sigma fibers reports |{args.type}_n| sigmas, at most "
+                f"{MAX_FIBER_REPORTS}; pick one with --sigma"
+            )
+
+
+def _exceeds(factors, cap: int) -> bool:
+    """Whether the product of ``factors`` (each >= 2) exceeds ``cap``, read
+    only up to the first partial product past it, so a huge n costs nothing."""
+    product = 1
+    for factor in factors:
+        product *= factor
+        if product > cap:
+            return True
+    return False
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -162,12 +193,9 @@ def cmd_fibers(args) -> int:
         if sigma.n != args.n:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
         group, oracle = [sigma], None
-    elif args.type == "B":
-        oracle = map_b.phi_fibers(args.n, args.m)
-        group = enumerate_bn(args.n)
     else:
-        oracle, _ = map_d.psi_fibers(args.n, args.m)
-        group = enumerate_dn(args.n)
+        oracle = map_d.fiber_counts(args.type, args.n, args.m)
+        group = enumerate_bn(args.n) if args.type == "B" else enumerate_dn(args.n)
     show_vectors = args.vectors or args.sigma is not None
     # all-sigma JSON is one list, written an item at a time as json.dumps would
     listing = args.format == "json" and args.sigma is None

@@ -61,14 +61,6 @@ class QPolynomial:
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    @property
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else None
-
-    def coefficient(self, k: int) -> int:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
-
     def to_list(self) -> list[int]:
         return list(self._coeffs)
 

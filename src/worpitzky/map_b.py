@@ -13,7 +13,13 @@ chains: a vector in the fiber of sigma corresponds to a chain
     b_i = |a_{|sigma_i|}| + i - #{descents j < i}
 
 (the 0 descent counts), so the fiber size is C(n + m - des_B(sigma), n).
-``map_d.fiber_vectors`` decodes these chains for both types.
+``map_d.fiber_vectors`` decodes these chains for both types.  ``phi`` writes
+a window that is a signed permutation by construction, so it skips the
+checks the public ``SignedPermutation`` constructor runs on outside input.
+
+``phi_fibers`` groups the whole vector space by ``phi``: the brute vector
+oracle the tests compare the decoder against.  ``map_d.fiber_counts`` is the
+cross-checked count route that all-sigma fiber reports read.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def phi(v: Sequence[int], m: int | None = None) -> SignedPermutation:
         check_bound(v, m)
     n = len(v)
     codes = sorted(map(position_code, range(1, n + 1), v, itertools.repeat(n)))
-    return SignedPermutation(tuple(map(code_entry, codes, itertools.repeat(n))))
+    return SignedPermutation._of(tuple(map(code_entry, codes, itertools.repeat(n))))
 
 
 def decode_abs_chains(

@@ -15,7 +15,9 @@ breaking the descent condition are "missing" and fall into four classes:
 * case3:  zero present, even negatives, but position 0 is a descent.
 
 The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded here by
-one path, ``fiber_vectors``, from the chains of the type's descent set.
+one path, ``fiber_vectors``, from the chains of the type's descent set, and
+counted for every sigma at once by ``fiber_counts``; ``fiber_report``
+checks the two against the size law.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -25,6 +27,7 @@ deviating closed form of the full q-identity is kept as an erratum probe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -41,6 +44,7 @@ from .sigma_vectors import (
     check_bound,
     code_entry,
     enumerate_vectors,
+    letters,
     neg_vec,
     total_weight_neg2,
 )
@@ -121,16 +125,23 @@ def psi(v, m: int | None = None) -> MapOutcome:
 
 # -- fibers -----------------------------------------------------------------
 
-def _check_fiber_type(group: str) -> None:
+def _fiber_law(group: str, sigma: SignedPermutation, m: int) -> tuple[tuple[int, ...], int]:
+    """Check a fiber's arguments; return sigma's type-``group`` descents and
+    the size law C(n + m - des(sigma), n) read from them."""
     if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
+    if group == "D" and not sigma.is_in_dn():
+        raise ValueError("sigma must have an even number of negative entries")
+    descents = sigma.descents(group)
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return descents, binom(sigma.n + m - len(descents), sigma.n)
 
 
 def fiber_size(group: str, sigma: SignedPermutation, m: int) -> int:
     """C(n + m - des(sigma), n): the fiber size of sigma under phi (type B)
     or psi (type D), with the type's descent count."""
-    _check_fiber_type(group)
-    return binom(sigma.n + m - sigma.des(group), sigma.n)
+    return _fiber_law(group, sigma, m)[1]
 
 
 def _forward(group: str, v: Vector) -> SignedPermutation | None:
@@ -138,21 +149,9 @@ def _forward(group: str, v: Vector) -> SignedPermutation | None:
     return phi(v) if group == "B" else psi(v).sigma
 
 
-def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
-    """All vectors the type's forward map sends to sigma, decoded from the
-    chains of its descent set.
-
-    Signs are recovered from sigma.  In type D the first chain position may
-    decode to zero under a negative first entry (the zero that the parity
-    flip reads as negative).  Every decoded vector is validated by a
-    forward map call; a mismatch is a hard failure, never a silent skip.
-    """
-    _check_fiber_type(group)
-    if group == "D" and not sigma.is_in_dn():
-        raise ValueError("sigma must have an even number of negative entries")
-    descents = sigma.descents(group)
-    if m < 0:
-        raise ValueError("m must be >= 0")
+def _decode(group: str, sigma: SignedPermutation, m: int, descents: tuple[int, ...]) -> list[Vector]:
+    """The vectors of the chains of sigma's descents, each validated by a
+    forward map call; a mismatch is a hard failure, never a silent skip."""
     n = sigma.n
     out = []
     for abs_vals in decode_abs_chains(descents, n, m):
@@ -169,6 +168,18 @@ def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
     return out
 
 
+def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
+    """All vectors the type's forward map sends to sigma, decoded from the
+    chains of its descent set.
+
+    Signs are recovered from sigma.  In type D the first chain position may
+    decode to zero under a negative first entry (the zero that the parity
+    flip reads as negative).  Every decoded vector is validated by a
+    forward map call.
+    """
+    return _decode(group, sigma, m, _fiber_law(group, sigma, m)[0])
+
+
 def psi_fibers(n: int, m: int):
     """Forward-map oracle: fibers of associated sigmas plus missing vectors."""
     fibers: dict[SignedPermutation, list[Vector]] = {}
@@ -182,23 +193,75 @@ def psi_fibers(n: int, m: int):
     return fibers, missing
 
 
+def fiber_counts(group: str, n: int, m: int) -> dict[tuple[int, ...], int]:
+    """Count oracle: the size of every nonempty fiber of the type's forward
+    map, keyed by window.
+
+    One pass over the position codes of every vector (the tables of the
+    sweep engine): the sorted codes give phi's window, and type D reads
+    psi's case rules through ``_missing_case``, skipping missing vectors and
+    flipping sigma_1 where psi does.  It builds no SignedPermutation and
+    keeps no vector.
+    """
+    if group not in ("B", "D"):
+        raise ValueError(f"unknown type {group!r}, expected B or D")
+    least = 2 if group == "D" else 1
+    if n < least:
+        raise ValueError(f"type-{group} fibers need n >= {least}")
+    w = n + 1
+    counts: Counter[tuple[int, ...]] = Counter()
+
+    # the sign psi gives sigma_1 for a vector whose two smallest codes are
+    # c1 < c2, or 0 for a missing vector
+    @lru_cache(maxsize=None)
+    def first_sign(c1: int, c2: int, odd: int) -> int:
+        zeros = (c1 < w * w) + (c2 < w * w)
+        if _missing_case(zeros, odd, code_entry(c1, n), code_entry(c2, n)) is not None:
+            return 0
+        return -1 if zeros and odd else 1
+
+    for first in letters(m):
+        columns = _shard_columns(n, m, first)
+        entry = {code: code_entry(code, n) for column in columns for code in column}.__getitem__
+        if group == "B":
+            counts.update(tuple(map(entry, sorted(codes))) for codes in product(*columns))
+        else:
+            for codes in product(*columns):
+                low = sorted(codes)
+                sign = first_sign(low[0], low[1], sum(codes) % w & 1)
+                if sign:
+                    window = tuple(map(entry, low))
+                    counts[(-window[0],) + window[1:] if sign < 0 else window] += 1
+    return dict(counts)
+
+
 def fiber_report(
     group: str,
     sigma: SignedPermutation,
     m: int,
-    oracle: dict[SignedPermutation, list[Vector]] | None = None,
+    oracle: dict[tuple[int, ...], int] | None = None,
 ) -> FiberReport:
-    """Compare the chain decoding of a fiber against the forward map: the
-    ``oracle`` fibers of a whole-space sweep when given, else a streaming
-    sweep that keeps only sigma's fiber."""
-    decoded = fiber_vectors(group, sigma, m)
+    """Check the fiber of sigma three ways, from one read of its descents.
+
+    * expected: the size law C(n + m - des(sigma), n);
+    * decoded: the vectors of the chains of the descents, each validated
+      through the type's forward map (no chain exists when the law gives 0,
+      so decoding is skipped);
+    * actual: the forward-map count, ``oracle[sigma.window]`` from
+      ``fiber_counts`` when given, else a streaming sweep of the vector space.
+
+    The report passes when the decoded vectors are distinct and
+    expected == actual == len(decoded); with the validation this makes the
+    decoded vectors exactly the fiber.
+    """
+    descents, expected = _fiber_law(group, sigma, m)
+    decoded = _decode(group, sigma, m, descents) if expected else []
     if oracle is None:
-        swept = [v for v in enumerate_vectors(sigma.n, m) if _forward(group, v) == sigma]
+        actual = sum(1 for v in enumerate_vectors(sigma.n, m) if _forward(group, v) == sigma)
     else:
-        swept = oracle.get(sigma, [])
-    expected = fiber_size(group, sigma, m)
-    passed = expected == len(swept) == len(decoded) and set(decoded) == set(swept)
-    return FiberReport(group, sigma, m, expected, len(swept), tuple(decoded), passed)
+        actual = oracle.get(sigma.window, 0)
+    passed = expected == actual == len(decoded) == len(set(decoded))
+    return FiberReport(group, sigma, m, expected, actual, tuple(decoded), passed)
 
 
 # -- missing-vector census ----------------------------------------------------

@@ -74,7 +74,7 @@ def parse_vector(text: str, m: int | None = None) -> Vector:
 
 
 def format_vector(v: Sequence[int]) -> str:
-    return ",".join(str(a) for a in v)
+    return ",".join(map(str, v))
 
 
 def check_bound(v: Sequence[int], m: int) -> None:

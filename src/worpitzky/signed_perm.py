@@ -49,6 +49,14 @@ class SignedPermutation:
                 raise ValueError(f"duplicate absolute value {a} at position {pos}")
             seen[a] = True
 
+    @classmethod
+    def _of(cls, window: tuple[int, ...]) -> "SignedPermutation":
+        """Wrap a window that is valid by construction, skipping the checks
+        of ``__post_init__``; outside input goes through the constructor."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "window", window)
+        return perm
+
     # -- text format ----------------------------------------------------
 
     @classmethod
@@ -70,7 +78,7 @@ class SignedPermutation:
 
     def flip_first(self) -> "SignedPermutation":
         """Invert the sign of the first window entry."""
-        return SignedPermutation((-self.window[0],) + self.window[1:])
+        return SignedPermutation._of((-self.window[0],) + self.window[1:])
 
     # -- descents ------------------------------------------------------------
 
@@ -90,7 +98,7 @@ class SignedPermutation:
     def descents(self, group: str) -> tuple[int, ...]:
         """The type-``group`` descent positions in increasing order."""
         w = self.window
-        inner = tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
+        inner = tuple(itertools.compress(range(1, len(w)), map(gt, w, w[1:])))
         return (0,) + inner if self._zero_descent(group) else inner
 
     def des(self, group: str) -> int:
@@ -113,16 +121,16 @@ class SignedPermutation:
         return self.neg() % 2 == 0
 
 
-def identity(n: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(1, n + 1)))
-
-
 def _signed_windows(n: int, masks) -> Iterator[SignedPermutation]:
-    """Each permutation of 1..n under each sign mask (bit i negates entry i)."""
+    """Each permutation of 1..n under each sign mask (bit i negates entry i).
+
+    Every window is a signed permutation by construction, so it is wrapped
+    without the constructor's checks."""
     signs = [tuple(-1 if (mask >> i) & 1 else 1 for i in range(n)) for mask in masks]
+    of = SignedPermutation._of
     for perm in itertools.permutations(range(1, n + 1)):
         for sign in signs:
-            yield SignedPermutation(tuple(map(mul, sign, perm)))
+            yield of(tuple(map(mul, sign, perm)))
 
 
 def enumerate_bn(n: int) -> Iterator[SignedPermutation]:

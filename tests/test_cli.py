@@ -10,8 +10,8 @@ import pytest
 from worpitzky import map_d
 from worpitzky.cli import main
 from worpitzky.eulerian import eulerian_row_d_q
-from worpitzky.map_b import phi, phi_fibers
-from worpitzky.map_d import fiber_report, fiber_size, fiber_vectors, psi_fibers
+from worpitzky.map_b import phi
+from worpitzky.map_d import fiber_counts, fiber_report, fiber_size, fiber_vectors
 from worpitzky.signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
 from worpitzky.sigma_vectors import enumerate_vectors, parse_vector
 
@@ -199,15 +199,16 @@ def test_fibers_all_sigmas_show_vectors_under_each_line(capsys):
 
 
 @pytest.mark.parametrize("vectors", [False, True], ids=["plain", "vectors"])
-@pytest.mark.parametrize("group,n", [("B", 2), ("D", 3)], ids=["B", "D"])
+@pytest.mark.parametrize(
+    "group,n", [("B", 2), ("D", 3), ("B", 5)], ids=["B", "D", "B5"]
+)
 def test_fibers_all_sigma_json_is_the_dumped_list_of_reports(capsys, group, n, vectors):
+    # B5 streams 3,840 reports
     argv = ["fibers", "--type", group, "--n", str(n), "--m", "1", "--format", "json"]
     code, out, _ = run(capsys, *argv, *(["--vectors"] if vectors else []))
     assert code == 0
-    if group == "B":
-        oracle, elements = phi_fibers(n, 1), enumerate_bn(n)
-    else:
-        oracle, elements = psi_fibers(n, 1)[0], enumerate_dn(n)
+    oracle = fiber_counts(group, n, 1)
+    elements = enumerate_bn(n) if group == "B" else enumerate_dn(n)
     payload = []
     for sigma in elements:
         d = fiber_report(group, sigma, 1, oracle=oracle).to_json_dict()
@@ -247,6 +248,28 @@ def test_fibers_single_sigma_equals_its_all_sigma_entry(capsys, group, n, sigma)
     assert code == 0
     (entry,) = [d for d in json.loads(every) if d["sigma"] == sigma]
     assert json.loads(one) == entry
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--type B --n 9 --m 1",
+        "--type D --n 8 --m 0",
+        "--type B --n 4 --m 60 --sigma 1,2,3,4",
+        "--type B --n 12 --m 1 --format json",
+        "--type D --n 1000000000 --m 1 --sigma 1,2",
+        "--type B --n 1000000000 --m 0",
+    ],
+)
+def test_fibers_refuses_work_past_its_bounds_before_any_report(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused command started work")
+
+    monkeypatch.setattr(map_d, "fiber_report", no_work)
+    monkeypatch.setattr(map_d, "fiber_counts", no_work)
+    code, out, err = run(capsys, "fibers", *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fibers_type_d_sigma_outside_dn_is_usage_error(capsys):

@@ -12,7 +12,7 @@ from worpitzky.map_b import (
     verify_worpitzky_b,
 )
 from worpitzky.map_d import fiber_size, fiber_vectors
-from worpitzky.signed_perm import SignedPermutation, identity
+from worpitzky.signed_perm import SignedPermutation
 from worpitzky.sigma_vectors import enumerate_vectors, neg_vec
 
 
@@ -29,11 +29,20 @@ def test_phi_worked_example():
 
 
 def test_phi_all_zero_gives_identity():
-    assert phi((0, 0, 0, 0)) == identity(4)
+    assert phi((0, 0, 0, 0)) == SignedPermutation((1, 2, 3, 4))
 
 
 def test_phi_equal_negatives_read_right_to_left():
     assert phi((-1, -1), 1) == SignedPermutation((-2, -1))
+
+
+def test_phi_builds_valid_windows():
+    # phi skips the constructor's checks; revalidate each window it builds
+    for n in range(1, 5):
+        for m in range(3):
+            for v in enumerate_vectors(n, m):
+                sigma = phi(v)
+                assert SignedPermutation(sigma.window) == sigma
 
 
 def test_phi_rejects_out_of_bound_entries():
@@ -66,8 +75,8 @@ def test_fiber_size_worked_example():
 
 
 def test_fiber_size_identity_m0():
-    assert fiber_size("B", identity(4), 0) == 1
-    assert fiber_vectors("B", identity(4), 0) == [(0, 0, 0, 0)]
+    assert fiber_size("B", SignedPermutation((1, 2, 3, 4)), 0) == 1
+    assert fiber_vectors("B", SignedPermutation((1, 2, 3, 4)), 0) == [(0, 0, 0, 0)]
 
 
 def test_fiber_single_negative_entry():

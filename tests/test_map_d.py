@@ -8,9 +8,11 @@ import pytest
 import worpitzky
 from worpitzky import map_d
 from worpitzky.exactnum import ONE_PLUS_Q, QPolynomial
+from worpitzky.map_b import phi_fibers
 from worpitzky.map_d import (
     MISSING_CASES,
     erratum_report_d,
+    fiber_counts,
     fiber_report,
     fiber_size,
     fiber_vectors,
@@ -97,6 +99,50 @@ def test_fiber_functions_reject_an_unknown_type(fn):
         fn("A", SignedPermutation((1, 2)), 1)
 
 
+@pytest.mark.parametrize("fn", [fiber_size, fiber_vectors, fiber_report])
+def test_fiber_functions_reject_a_sigma_outside_dn_and_a_negative_m(fn):
+    with pytest.raises(ValueError, match="even number of negative entries"):
+        fn("D", SignedPermutation((-1, 2)), 1)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        fn("B", SignedPermutation((1, 2)), -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fiber_counts_equal_the_vector_oracles(n):
+    for m in range(4):
+        swept = phi_fibers(n, m)
+        assert fiber_counts("B", n, m) == {s.window: len(vs) for s, vs in swept.items()}
+        if n < 2:
+            continue
+        counts = fiber_counts("D", n, m)
+        swept, _ = psi_fibers(n, m)
+        assert counts == {s.window: len(vs) for s, vs in swept.items()}
+        assert sum(counts.values()) + missing_census(n, m).total_count == (2 * m + 1) ** n
+
+
+def test_fiber_counts_reject_an_unknown_type_and_a_short_d_space():
+    with pytest.raises(ValueError, match="unknown type 'A'"):
+        fiber_counts("A", 2, 1)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        fiber_counts("D", 1, 1)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["streamed", "counted"])
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_empty_fiber_passes_without_decoding(monkeypatch, group, oracle):
+    # des(-1,-2) = 2 in both types, so C(2 + 1 - 2, 2) = 0 at m = 1
+    sigma = SignedPermutation((-1, -2))
+    counts = fiber_counts(group, 2, 1) if oracle else None
+
+    def no_chain(*args):
+        raise AssertionError("an empty fiber was decoded")
+
+    monkeypatch.setattr(map_d, "decode_abs_chains", no_chain)
+    report = fiber_report(group, sigma, 1, oracle=counts)
+    assert (report.expected_size, report.oracle_size, report.vectors) == (0, 0, ())
+    assert report.passed
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_fibers_match_forward_oracle(m):
     n = 3
@@ -153,6 +199,25 @@ def test_fiber_report_fails_on_a_repeated_chain(monkeypatch, group):
     report = fiber_report(group, sigma, 2)
     assert set(report.vectors) == set(expected.vectors)
     assert report.oracle_size == report.expected_size == expected.expected_size
+    assert not report.passed
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["streamed", "counted"])
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_report_fails_on_a_repeat_that_keeps_the_length(monkeypatch, group, oracle):
+    # the last chain replaced by the first: every size agrees and every
+    # decoded vector maps back, so only the distinctness rule catches it
+    chains = map_d.decode_abs_chains
+
+    def repeat_for_last(des_set, n, m):
+        decoded = list(chains(des_set, n, m))
+        return iter(decoded[:-1] + decoded[:1])
+
+    sigma = SignedPermutation.parse("-2,-1,3")
+    counts = fiber_counts(group, 3, 2) if oracle else None
+    monkeypatch.setattr(map_d, "decode_abs_chains", repeat_for_last)
+    report = fiber_report(group, sigma, 2, oracle=counts)
+    assert report.expected_size == report.oracle_size == len(report.vectors) > 1
     assert not report.passed
 
 

@@ -10,7 +10,6 @@ from worpitzky.signed_perm import (
     SignedPermutation,
     enumerate_bn,
     enumerate_dn,
-    identity,
 )
 
 
@@ -29,7 +28,7 @@ def test_parse_longer_window():
 
 
 def test_parse_identity():
-    assert SignedPermutation.parse("1,2,3") == identity(3)
+    assert SignedPermutation.parse("1,2,3") == SignedPermutation((1, 2, 3))
 
 
 @pytest.mark.parametrize(
@@ -53,20 +52,20 @@ def test_parse_format_round_trip(sigma):
 
 def test_des_a():
     assert SignedPermutation((-1, 2, -5, 4, 3)).descents("A") == (2, 4)
-    assert identity(4).descents("A") == ()
+    assert SignedPermutation((1, 2, 3, 4)).descents("A") == ()
     assert SignedPermutation((3, 2, 1)).descents("A") == (1, 2)
 
 
 def test_des_b():
     assert SignedPermutation((-1, 2, -5, 4, 3)).descents("B") == (0, 2, 4)
     assert SignedPermutation((2, -1, 4, -5, 3)).descents("B") == (1, 3)
-    assert identity(3).descents("B") == ()
+    assert SignedPermutation((1, 2, 3)).descents("B") == ()
 
 
 def test_des_d():
     assert SignedPermutation((-3, 2, 6, -5, 1, 4)).descents("D") == (0, 3)
     assert SignedPermutation((2, -3, 1, 4, -5)).descents("D") == (0, 1, 4)
-    assert identity(3).descents("D") == ()
+    assert SignedPermutation((1, 2, 3)).descents("D") == ()
 
 
 def test_des_d_needs_two_entries():
@@ -85,21 +84,21 @@ def test_des_counts_the_increasing_descent_tuple(group):
 @pytest.mark.parametrize("method", ["descents", "des"])
 def test_descent_rule_rejects_an_unknown_type_and_a_short_d_window(method):
     with pytest.raises(ValueError, match="unknown type 'C'"):
-        getattr(identity(3), method)("C")
+        getattr(SignedPermutation((1, 2, 3)), method)("C")
     with pytest.raises(ValueError, match="at least two entries"):
         getattr(SignedPermutation((1,)), method)("D")
 
 
 def test_neg():
     assert SignedPermutation((-1, 2, -5, 4, 3)).neg() == 2
-    assert identity(5).neg() == 0
+    assert SignedPermutation((1, 2, 3, 4, 5)).neg() == 0
     assert SignedPermutation((-1, -2)).neg() == 2
 
 
 def test_neg2():
     assert SignedPermutation((-3, 2, 6, -5, 1, 4)).neg2() == 1
     assert SignedPermutation((-1, -2)).neg2() == 1
-    assert identity(4).neg2() == 0
+    assert SignedPermutation((1, 2, 3, 4)).neg2() == 0
 
 
 def test_is_in_dn():
@@ -148,6 +147,17 @@ def test_neg2_drops_first_position_sign():
 def test_flip_first():
     sigma = SignedPermutation((2, 3, -1))
     assert sigma.flip_first().window == (-2, 3, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_trusted_windows_are_valid(n):
+    # enumeration and flip_first skip the constructor's checks; revalidate
+    # every window they build
+    groups = [enumerate_bn(n)] + ([enumerate_dn(n)] if n >= 2 else [])
+    for sigma in (s for group in groups for s in group):
+        assert SignedPermutation(sigma.window) == sigma
+        flipped = sigma.flip_first()
+        assert SignedPermutation(flipped.window) == flipped
 
 
 def test_invalid_windows_rejected():
