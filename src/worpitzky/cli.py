@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
@@ -37,17 +37,22 @@ class UsageError(Exception):
 D_IDENTITIES = ("worpitzky-d", "balance-d", "erratum-d")
 
 # Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11: a
-# --sigma report sweeps about 10^5 vectors/s (5^8 vectors: 3.6 s) and
-# all-sigma reports run at about 10^5/s (B_7 at m=1: 6 s; at m=2 with JSON
-# vectors, the largest admitted, 11 s; B_8 would be 16 times B_7).
+# --sigma report counts about 0.5 M vectors/s (5^8 vectors: 0.6 s) and
+# all-sigma reports run at about 10^5/s (B_7 at m=1: 7-8 s; at m=2 with JSON
+# vectors, the largest admitted, 13 s; B_8 would be 16 times B_7).
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
+
+# Work bound of `missing` and of the worpitzky-b and balance-d grids: at one
+# job on the same host their folds run at about 1, 1.3 and 3.5 M vectors/s
+# (7^8 vectors: 5.1-6.5 s, 4.5 s and 1.6 s), so 10^7 vectors take up to 11 s.
+MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
 
 def _check_args(args) -> None:
     """Post-validation argparse cannot express: resolve the job count,
-    require n >= 2 wherever type D is involved, and bound the verify grid
-    and the fibers work before any report is built."""
+    require n >= 2 wherever type D is involved, and bound the verify grid,
+    the brute sweeps and the fibers work before any of it starts."""
     if hasattr(args, "jobs"):
         args.jobs = _job_count(args.jobs)
     n_lo = args.n_range[0] if hasattr(args, "n_range") else getattr(args, "n", None)
@@ -56,11 +61,20 @@ def _check_args(args) -> None:
     ) or args.command == "missing" or getattr(args, "identity", None) in D_IDENTITIES
     if needs_d and n_lo is not None and n_lo < 2:
         raise UsageError(f"{getattr(args, 'identity', args.command)} requires n >= 2")
-    if args.command == "verify":
-        if n_lo < 1 or args.m_range[0] < 0:
+    if args.command in ("verify", "missing"):
+        verify = args.command == "verify"
+        n_lo, n_hi = args.n_range if verify else (args.n, args.n)
+        m_lo, m_hi = args.m_range if verify else (args.m, args.m)
+        if n_lo < 1 or m_lo < 0:
             raise UsageError("need n >= 1 and m >= 0")
-        if args.n_range[1] > MAX_ROW_N:
+        if n_hi > MAX_ROW_N:
             raise UsageError(f"n must be <= {MAX_ROW_N}")
+        if not verify or args.identity in ("worpitzky-b", "balance-d"):
+            # n <= MAX_ROW_N, and any() stops at the first partial sum past the bound
+            sizes = ((2 * m + 1) ** n for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
+            if any(total > MAX_SWEEP_VECTORS for total in accumulate(sizes)):
+                name = getattr(args, "identity", "missing")
+                raise UsageError(f"{name} sweeps more than {MAX_SWEEP_VECTORS} vectors")
     if args.command == "fibers":
         if args.n < 1 or args.m < 0:
             raise UsageError("need n >= 1 and m >= 0")
@@ -232,13 +246,8 @@ def cmd_missing(args) -> int:
                 f"{case}: count={census.counts[case]} weight={census.weights[case]}"
             )
         print(f"total: count={census.total_count} weight={census.total_weight}")
-        print(
-            f"closed forms: case1={map_d.missing_case1_closed(args.n, args.m)} "
-            f"A={map_d.missing_case2a_closed(args.n, args.m)} "
-            f"B={map_d.missing_cases2b3_closed(args.n, args.m)} "
-            f"total={map_d.missing_total_closed(args.n, args.m)} "
-            f"weight={map_d.missing_weight_closed(args.n, args.m)}"
-        )
+        line = "closed forms: case1={case1} A={A} B={B} total={total} weight={total_weight}"
+        print(line.format_map(census.closed_forms))
         print("pass" if census.passed else "FAIL")
     return 0 if census.passed else 1
 

@@ -16,8 +16,8 @@ breaking the descent condition are "missing" and fall into four classes:
 
 The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded here by
 one path, ``fiber_vectors``, from the chains of the type's descent set, and
-counted for every sigma at once by ``fiber_counts``; ``fiber_report``
-checks the two against the size law.
+counted by one pass over the position codes of every vector, ``_images``;
+``fiber_report`` checks the two against the size law.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -29,13 +29,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
+from operator import countOf
+from typing import Iterator
 
 from .bernoulli import power_sum, worpitzky_d_lhs
 from .exactnum import ONE_PLUS_Q, QPolynomial, binom
 from .eulerian import eulerian_row_d_q
-from .map_b import FiberReport, IdentityReport, decode_abs_chains, phi, rhs_eulerian_sum
+from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
 from .signed_perm import SignedPermutation
 from .sigma_vectors import (
     Vector,
@@ -63,16 +65,6 @@ class MapOutcome:
     @property
     def is_associated(self) -> bool:
         return self.sigma is not None
-
-    @classmethod
-    def associate(cls, sigma: SignedPermutation, flipped: bool = False) -> "MapOutcome":
-        return cls(sigma, flipped, None)
-
-    @classmethod
-    def missing(cls, case: str) -> "MapOutcome":
-        if case not in MISSING_CASES:
-            raise ValueError(f"unknown missing case {case!r}")
-        return cls(None, False, case)
 
     def __str__(self) -> str:
         if self.sigma is None:
@@ -106,6 +98,17 @@ def _missing_case(zeros: int, odd: bool, s1: int, s2: int) -> str | None:
     return case
 
 
+def _code_case(n: int, c1: int, c2: int, odd: int) -> int:
+    """The index in MISSING_CASES of the case of an n-vector with smallest
+    position codes c1 < c2 and ``odd`` negatives, or len(MISSING_CASES) when
+    psi associates it."""
+    w = n + 1
+    # a zero is the smallest letter, so its codes are the ones below w^2
+    zeros = (c1 < w * w) + (c2 < w * w)
+    case = _missing_case(zeros, odd, code_entry(c1, n), code_entry(c2, n))
+    return len(MISSING_CASES) if case is None else MISSING_CASES.index(case)
+
+
 def psi(v, m: int | None = None) -> MapOutcome:
     """Associate a vector with an even-signed permutation, or classify it."""
     if len(v) < 2:
@@ -117,10 +120,10 @@ def psi(v, m: int | None = None) -> MapOutcome:
     odd = neg_vec(v) % 2 == 1
     case = _missing_case(zeros, odd, *sigma.window[:2])
     if case is not None:
-        return MapOutcome.missing(case)
+        return MapOutcome(None, False, case)
     if zeros and odd:
-        return MapOutcome.associate(sigma.flip_first(), flipped=True)
-    return MapOutcome.associate(sigma)
+        return MapOutcome(sigma.flip_first(), True)
+    return MapOutcome(sigma)
 
 
 # -- fibers -----------------------------------------------------------------
@@ -144,11 +147,6 @@ def fiber_size(group: str, sigma: SignedPermutation, m: int) -> int:
     return _fiber_law(group, sigma, m)[1]
 
 
-def _forward(group: str, v: Vector) -> SignedPermutation | None:
-    """Where the type's forward map sends v; None for a missing vector."""
-    return phi(v) if group == "B" else psi(v).sigma
-
-
 def _decode(group: str, sigma: SignedPermutation, m: int, descents: tuple[int, ...]) -> list[Vector]:
     """The vectors of the chains of sigma's descents, each validated by a
     forward map call; a mismatch is a hard failure, never a silent skip."""
@@ -159,7 +157,7 @@ def _decode(group: str, sigma: SignedPermutation, m: int, descents: tuple[int, .
         for entry, av in zip(sigma.window, abs_vals):
             a[abs(entry) - 1] = -av if entry < 0 else av
         v = tuple(a)
-        image = _forward(group, v)
+        image = phi(v) if group == "B" else psi(v).sigma
         if image != sigma:
             raise ArithmeticError(
                 f"decoded vector {v} does not map back to {sigma} (got {image})"
@@ -193,46 +191,40 @@ def psi_fibers(n: int, m: int):
     return fibers, missing
 
 
-def fiber_counts(group: str, n: int, m: int) -> dict[tuple[int, ...], int]:
-    """Count oracle: the size of every nonempty fiber of the type's forward
-    map, keyed by window.
-
-    One pass over the position codes of every vector (the tables of the
-    sweep engine): the sorted codes give phi's window, and type D reads
-    psi's case rules through ``_missing_case``, skipping missing vectors and
-    flipping sigma_1 where psi does.  It builds no SignedPermutation and
-    keeps no vector.
-    """
+def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
+    """The window the type's forward map sends each vector to, or None for
+    a missing vector, in the order of enumerate_vectors: one pass over the
+    sweep engine's position codes, where the sorted codes give phi's window
+    and type D reads psi's case rules through ``_code_case``.  It builds no
+    SignedPermutation and keeps no vector."""
     if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
     least = 2 if group == "D" else 1
     if n < least:
         raise ValueError(f"type-{group} fibers need n >= {least}")
     w = n + 1
-    counts: Counter[tuple[int, ...]] = Counter()
-
-    # the sign psi gives sigma_1 for a vector whose two smallest codes are
-    # c1 < c2, or 0 for a missing vector
-    @lru_cache(maxsize=None)
-    def first_sign(c1: int, c2: int, odd: int) -> int:
-        zeros = (c1 < w * w) + (c2 < w * w)
-        if _missing_case(zeros, odd, code_entry(c1, n), code_entry(c2, n)) is not None:
-            return 0
-        return -1 if zeros and odd else 1
-
+    case = lru_cache(maxsize=None)(partial(_code_case, n))
     for first in letters(m):
         columns = _shard_columns(n, m, first)
         entry = {code: code_entry(code, n) for column in columns for code in column}.__getitem__
         if group == "B":
-            counts.update(tuple(map(entry, sorted(codes))) for codes in product(*columns))
-        else:
-            for codes in product(*columns):
-                low = sorted(codes)
-                sign = first_sign(low[0], low[1], sum(codes) % w & 1)
-                if sign:
-                    window = tuple(map(entry, low))
-                    counts[(-window[0],) + window[1:] if sign < 0 else window] += 1
-    return dict(counts)
+            yield from (tuple(map(entry, sorted(codes))) for codes in product(*columns))
+            continue
+        for codes in product(*columns):
+            low = sorted(codes)
+            odd = sum(codes) % w & 1
+            if case(low[0], low[1], odd) < len(MISSING_CASES):
+                yield None
+                continue
+            window = tuple(map(entry, low))
+            # a zero (a code below w^2) and odd negatives: psi flips sigma_1
+            yield (-window[0],) + window[1:] if odd and low[0] < w * w else window
+
+
+def fiber_counts(group: str, n: int, m: int) -> Counter[tuple[int, ...]]:
+    """Count oracle: the size of every nonempty fiber of the type's forward
+    map, keyed by window, from one pass of ``_images`` less its Nones."""
+    return Counter(filter(None, _images(group, n, m)))
 
 
 def fiber_report(
@@ -248,7 +240,7 @@ def fiber_report(
       through the type's forward map (no chain exists when the law gives 0,
       so decoding is skipped);
     * actual: the forward-map count, ``oracle[sigma.window]`` from
-      ``fiber_counts`` when given, else a streaming sweep of the vector space.
+      ``fiber_counts`` when given, else sigma's window counted in ``_images``.
 
     The report passes when the decoded vectors are distinct and
     expected == actual == len(decoded); with the validation this makes the
@@ -257,7 +249,7 @@ def fiber_report(
     descents, expected = _fiber_law(group, sigma, m)
     decoded = _decode(group, sigma, m, descents) if expected else []
     if oracle is None:
-        actual = sum(1 for v in enumerate_vectors(sigma.n, m) if _forward(group, v) == sigma)
+        actual = countOf(_images(group, sigma.n, m), sigma.window)
     else:
         actual = oracle.get(sigma.window, 0)
     passed = expected == actual == len(decoded) == len(set(decoded))
@@ -317,15 +309,28 @@ class MissingCensus:
     def total_weight(self) -> QPolynomial:
         return sum(self.weights.values(), QPolynomial.zero())
 
+    @cached_property
+    def closed_forms(self) -> dict:
+        """The closed forms in JSON key order: A (case2a), B (case2b plus
+        case3), case1, total and total_weight."""
+        n, m = self.n, self.m
+        return {
+            "A": missing_case2a_closed(n, m),
+            "B": missing_cases2b3_closed(n, m),
+            "case1": missing_case1_closed(n, m),
+            "total": missing_total_closed(n, m),
+            "total_weight": missing_weight_closed(n, m),
+        }
+
     @property
     def passed(self) -> bool:
+        closed = self.closed_forms
         return (
-            self.counts["case1"] == missing_case1_closed(self.n, self.m)
-            and self.counts["case2a"] == missing_case2a_closed(self.n, self.m)
-            and self.counts["case2b"] + self.counts["case3"]
-            == missing_cases2b3_closed(self.n, self.m)
-            and self.total_count == missing_total_closed(self.n, self.m)
-            and self.total_weight == missing_weight_closed(self.n, self.m)
+            self.counts["case1"] == closed["case1"]
+            and self.counts["case2a"] == closed["A"]
+            and self.counts["case2b"] + self.counts["case3"] == closed["B"]
+            and self.total_count == closed["total"]
+            and self.total_weight == closed["total_weight"]
             and all(
                 self.weights[c].at_q1() == self.counts[c] for c in MISSING_CASES
             )
@@ -342,13 +347,7 @@ class MissingCensus:
                 }
                 for case in MISSING_CASES
             },
-            "closed_forms": {
-                "A": missing_case2a_closed(self.n, self.m),
-                "B": missing_cases2b3_closed(self.n, self.m),
-                "case1": missing_case1_closed(self.n, self.m),
-                "total": missing_total_closed(self.n, self.m),
-                "total_weight": missing_weight_closed(self.n, self.m).to_list(),
-            },
+            "closed_forms": {key: _json_value(v) for key, v in self.closed_forms.items()},
             "pass": self.passed,
         }
 
@@ -364,10 +363,7 @@ def _census_fold(shard) -> list[int]:
     # sigma_1 < 0, so that adding neg gives the cell of neg2
     @lru_cache(maxsize=None)
     def offset(c1: int, c2: int, odd: int) -> int:
-        zeros = (c1 < w * w) + (c2 < w * w)
-        case = _missing_case(zeros, odd, code_entry(c1, n), code_entry(c2, n))
-        block = len(MISSING_CASES) if case is None else MISSING_CASES.index(case)
-        return block * w - c1 % w
+        return _code_case(n, c1, c2, odd) * w - c1 % w
 
     for codes in product(*_shard_columns(n, m, first)):
         low = sorted(codes)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import gt, mul
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .sigma_vectors import format_vector, parse_vector
 
@@ -147,9 +147,3 @@ def enumerate_dn(n: int) -> Iterator[SignedPermutation]:
     even_masks = [mask for mask in range(1 << n) if bin(mask).count("1") % 2 == 0]
     return _signed_windows(n, even_masks)
 
-
-def enumerate_sn(n: int) -> Iterator[Sequence[int]]:
-    """Plain permutations of 1..n in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return itertools.permutations(range(1, n + 1))

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from worpitzky import map_d
+from worpitzky import cli, map_b, map_d
 from worpitzky.cli import main
 from worpitzky.eulerian import eulerian_row_d_q
 from worpitzky.map_b import phi
@@ -311,6 +311,44 @@ def test_missing_json(capsys):
     assert data["cases"]["case1"]["count"] == 4
     assert data["closed_forms"]["total"] == 12
     assert data["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "missing --n 14 --m 4",
+        "missing --n 1000000000 --m 1",
+        "missing --n 1000000000 --m 0",
+        "verify --identity worpitzky-b --n-range 14..14 --m-range 4..4",
+        "verify --identity balance-d --n-range 2..50 --m-range 0..1000000000000",
+    ],
+)
+def test_sweeps_past_the_bound_are_refused_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused command started work")
+
+    for fn in ("missing_census", "verify_balance_d_q"):
+        monkeypatch.setattr(map_d, fn, no_work)
+    monkeypatch.setattr(map_b, "verify_worpitzky_b", no_work)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,vectors",
+    [
+        ("missing --n 2 --m 1", 9),
+        ("verify --identity worpitzky-b --n-range 1..2 --m-range 0..1", 1 + 3 + 1 + 9),
+        ("verify --identity balance-d --n-range 2..3 --m-range 1..1", 9 + 27),
+    ],
+)
+def test_the_sweep_bound_sums_the_vector_spaces_of_the_grid(capsys, monkeypatch, argv, vectors):
+    monkeypatch.setattr(cli, "MAX_SWEEP_VECTORS", vectors)
+    assert run(capsys, *argv.split())[0] == 0
+    monkeypatch.setattr(cli, "MAX_SWEEP_VECTORS", vectors - 1)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_oeis_check_passes(capsys):

@@ -65,6 +65,20 @@ def test_type_b_against_inclusion_exclusion(n):
     assert eulerian_row_b_q(n).at_q1() == tuple(closed(k) for k in range(n + 1))
 
 
+@pytest.mark.parametrize("n", [*range(13, 21), 30])
+def test_rows_against_the_closed_form_generating_functions(n):
+    # B_n(t, q) = sum_k t^k sum_{j <= k} (-1)^(k-j) C(n+1, k-j) (1 + (1+q) j)^n
+    powers = [QPolynomial((1 + j, j)) ** n for j in range(n + 1)]
+    b_row = eulerian_row_b_q(n)
+    for k, entry in enumerate(b_row.entries):
+        terms = (powers[j] * ((-1) ** (k - j) * binom(n + 1, k - j)) for j in range(k + 1))
+        assert entry == sum(terms, QPolynomial.zero()), k
+    # at q = 1: D_n(t) = B_n(t) - n 2^(n-1) t A_{n-1}(t)
+    shifted_a = (0,) + eulerian_row_a(n - 1).at_q1() + (0,)
+    d_row = tuple(b - n * 2 ** (n - 1) * a for b, a in zip(b_row.at_q1(), shifted_a, strict=True))
+    assert eulerian_row_d_q(n).at_q1() == d_row
+
+
 def test_all_coefficients_nonnegative():
     for n in range(1, 5):
         for p in eulerian_row_b_q(n).entries:

@@ -8,7 +8,7 @@ import pytest
 import worpitzky
 from worpitzky import map_d
 from worpitzky.exactnum import ONE_PLUS_Q, QPolynomial
-from worpitzky.map_b import phi_fibers
+from worpitzky.map_b import phi, phi_fibers
 from worpitzky.map_d import (
     MISSING_CASES,
     erratum_report_d,
@@ -29,7 +29,7 @@ from worpitzky.map_d import (
     verify_balance_d_q,
     verify_worpitzky_d_q1,
 )
-from worpitzky.signed_perm import SignedPermutation
+from worpitzky.signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
 from worpitzky.sigma_vectors import enumerate_vectors, neg2_vec, position_code
 
 
@@ -118,6 +118,30 @@ def test_fiber_counts_equal_the_vector_oracles(n):
         swept, _ = psi_fibers(n, m)
         assert counts == {s.window: len(vs) for s, vs in swept.items()}
         assert sum(counts.values()) + missing_census(n, m).total_count == (2 * m + 1) ** n
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_images_are_the_forward_map_of_each_vector_in_order(group):
+    for n in range(1 if group == "B" else 2, 5):
+        for m in range(3):
+            images = list(map_d._images(group, n, m))
+            assert len(images) == (2 * m + 1) ** n
+            missing = missing_census(n, m).total_count if group == "D" else 0
+            assert images.count(None) == missing
+            for v, image in zip(enumerate_vectors(n, m), images):
+                sigma = phi(v) if group == "B" else psi(v).sigma
+                assert image == (sigma and sigma.window), v
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_streamed_fiber_count_equals_the_count_and_vector_oracles(group):
+    for n in range(1 if group == "B" else 2, 5):
+        for m in range(3):
+            counts = fiber_counts(group, n, m)
+            swept = phi_fibers(n, m) if group == "B" else psi_fibers(n, m)[0]
+            for sigma in enumerate_bn(n) if group == "B" else enumerate_dn(n):
+                streamed = fiber_report(group, sigma, m).oracle_size
+                assert streamed == counts.get(sigma.window, 0) == len(swept.get(sigma, ()))
 
 
 def test_fiber_counts_reject_an_unknown_type_and_a_short_d_space():
