@@ -19,6 +19,7 @@ from .map_d import (
     erratum_report_d,
     fiber_counts,
     fiber_report,
+    fiber_reports,
     fiber_size,
     fiber_vectors,
     missing_census,
@@ -60,6 +61,7 @@ __all__ = [
     "eulerian_row_d_q",
     "fiber_counts",
     "fiber_report",
+    "fiber_reports",
     "fiber_size",
     "fiber_vectors",
     "missing_census",

@@ -22,7 +22,7 @@ from itertools import accumulate, repeat
 
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
-from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
+from .signed_perm import SignedPermutation
 from .sigma_vectors import format_vector, parse_vector
 
 JOBS_ENV_VAR = "WORPITZKY_JOBS"
@@ -38,8 +38,9 @@ D_IDENTITIES = ("worpitzky-d", "balance-d", "erratum-d")
 
 # Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11: a
 # --sigma report counts about 0.5 M vectors/s (5^8 vectors: 0.6 s) and
-# all-sigma reports run at about 10^5/s (B_7 at m=1: 7-8 s; at m=2 with JSON
-# vectors, the largest admitted, 13 s; B_8 would be 16 times B_7).
+# all-sigma reports run at about 1.2-1.7 x 10^5/s (B_7 at m=1: 3.8-3.9 s; at
+# m=2 with JSON vectors, the largest admitted, 5.2-5.4 s; B_8 would be 16
+# times B_7).
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
@@ -48,11 +49,18 @@ MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 # (7^8 vectors: 5.1-6.5 s, 4.5 s and 1.6 s), so 10^7 vectors take up to 11 s.
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
+# Work bound of a verify grid's Eulerian rows, one per distinct n: on the same
+# host the transfer DP builds a B or D row in about 0.46 us * n^4 (n = 50:
+# 2.8-2.9 s) and an A row in about an eighth of that, so 2 * 10^7 steps
+# take about 9 s and every single row up to MAX_ROW_N stays admitted.
+MAX_ROW_STEPS = 2 * 10**7  # n^4 per B or D row, n^4 / 8 per A row
+
 
 def _check_args(args) -> None:
     """Post-validation argparse cannot express: resolve the job count,
-    require n >= 2 wherever type D is involved, and bound the verify grid,
-    the brute sweeps and the fibers work before any of it starts."""
+    require n >= 2 wherever type D is involved and m >= 0 wherever m is, and
+    bound the verify grid's rows, the brute sweeps and the fibers work
+    before any of it starts."""
     if hasattr(args, "jobs"):
         args.jobs = _job_count(args.jobs)
     n_lo = args.n_range[0] if hasattr(args, "n_range") else getattr(args, "n", None)
@@ -69,12 +77,21 @@ def _check_args(args) -> None:
             raise UsageError("need n >= 1 and m >= 0")
         if n_hi > MAX_ROW_N:
             raise UsageError(f"n must be <= {MAX_ROW_N}")
+        if verify:
+            share = 8 if args.identity == "worpitzky-a" else 1
+            steps = sum(n**4 for n in range(n_lo, n_hi + 1)) // share
+            if steps > MAX_ROW_STEPS:
+                raise UsageError(
+                    f"{args.identity} builds rows of about {steps} steps, at most {MAX_ROW_STEPS}"
+                )
         if not verify or args.identity in ("worpitzky-b", "balance-d"):
             # n <= MAX_ROW_N, and any() stops at the first partial sum past the bound
             sizes = ((2 * m + 1) ** n for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
             if any(total > MAX_SWEEP_VECTORS for total in accumulate(sizes)):
                 name = getattr(args, "identity", "missing")
                 raise UsageError(f"{name} sweeps more than {MAX_SWEEP_VECTORS} vectors")
+    if args.command == "map" and args.m < 0:
+        raise UsageError("need m >= 0")
     if args.command == "fibers":
         if args.n < 1 or args.m < 0:
             raise UsageError("need n >= 1 and m >= 0")
@@ -206,23 +223,18 @@ def cmd_fibers(args) -> int:
         sigma = SignedPermutation.parse(args.sigma)
         if sigma.n != args.n:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
-        group, oracle = [sigma], None
+        reports = [map_d.fiber_report(args.type, sigma, args.m)]
     else:
-        oracle = map_d.fiber_counts(args.type, args.n, args.m)
-        group = enumerate_bn(args.n) if args.type == "B" else enumerate_dn(args.n)
+        reports = map_d.fiber_reports(args.type, args.n, args.m)
     show_vectors = args.vectors or args.sigma is not None
     # all-sigma JSON is one list, written an item at a time as json.dumps would
     listing = args.format == "json" and args.sigma is None
     ok = True
-    for i, sigma in enumerate(group):
-        r = map_d.fiber_report(args.type, sigma, args.m, oracle=oracle)
+    for i, r in enumerate(reports):
         ok = ok and r.passed
         if args.format == "json":
-            payload = r.to_json_dict()
-            if not show_vectors:
-                del payload["vectors"]
             head = ("[" if i == 0 else ", ") if listing else ""
-            print(head + json.dumps(payload), end="" if listing else "\n")
+            print(head + r.to_json(show_vectors), end="" if listing else "\n")
         else:
             print(
                 f"sigma={r.sigma.format()} m={r.m} expected={r.expected_size} "

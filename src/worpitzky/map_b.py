@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
 from .exactnum import QPolynomial, binom
@@ -138,6 +139,20 @@ class FiberReport:
             "pass": self.passed,
             "vectors": [list(v) for v in self.vectors],
         }
+
+    def to_json(self, vectors: bool) -> str:
+        """``json.dumps(self.to_json_dict())``, less "vectors" unless
+        ``vectors``, written directly in the report's fixed shape."""
+        text = (
+            f'{{"type": {encode_basestring_ascii(self.group)}, '
+            f'"sigma": {encode_basestring_ascii(self.sigma.format())}, "m": {self.m}, '
+            f'"expected": {self.expected_size}, "actual": {self.oracle_size}, '
+            f'"pass": {"true" if self.passed else "false"}'
+        )
+        if vectors:
+            rows = ("[" + ", ".join(map(str, v)) + "]" for v in self.vectors)
+            text += ', "vectors": [' + ", ".join(rows) + "]"
+        return text + "}"
 
 
 # -- identity verification --------------------------------------------------

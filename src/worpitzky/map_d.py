@@ -16,8 +16,10 @@ breaking the descent condition are "missing" and fall into four classes:
 
 The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded here by
 one path, ``fiber_vectors``, from the chains of the type's descent set, and
-counted by one pass over the position codes of every vector, ``_images``;
-``fiber_report`` checks the two against the size law.
+counted by one pass over the position codes of every vector, ``_images``.
+``fiber_report`` checks the two against the size law for one sigma, and
+``fiber_reports`` for every sigma of the group in one pass: one count
+oracle and one table of the size law per group, one descent read per sigma.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -38,7 +40,7 @@ from .bernoulli import power_sum, worpitzky_d_lhs
 from .exactnum import ONE_PLUS_Q, QPolynomial, binom
 from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
-from .signed_perm import SignedPermutation
+from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
 from .sigma_vectors import (
     Vector,
     _shard_columns,
@@ -128,14 +130,20 @@ def psi(v, m: int | None = None) -> MapOutcome:
 
 # -- fibers -----------------------------------------------------------------
 
+def _descents(group: str, sigma: SignedPermutation) -> tuple[int, ...]:
+    """sigma's type-``group`` descents, once sigma passes the type-D parity
+    check."""
+    if group == "D" and not sigma.is_in_dn():
+        raise ValueError("sigma must have an even number of negative entries")
+    return sigma.descents(group)
+
+
 def _fiber_law(group: str, sigma: SignedPermutation, m: int) -> tuple[tuple[int, ...], int]:
     """Check a fiber's arguments; return sigma's type-``group`` descents and
     the size law C(n + m - des(sigma), n) read from them."""
     if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
-    if group == "D" and not sigma.is_in_dn():
-        raise ValueError("sigma must have an even number of negative entries")
-    descents = sigma.descents(group)
+    descents = _descents(group, sigma)
     if m < 0:
         raise ValueError("m must be >= 0")
     return descents, binom(sigma.n + m - len(descents), sigma.n)
@@ -227,33 +235,41 @@ def fiber_counts(group: str, n: int, m: int) -> Counter[tuple[int, ...]]:
     return Counter(filter(None, _images(group, n, m)))
 
 
-def fiber_report(
-    group: str,
-    sigma: SignedPermutation,
-    m: int,
-    oracle: dict[tuple[int, ...], int] | None = None,
+def _report(
+    group: str, sigma: SignedPermutation, m: int, descents: tuple[int, ...], expected: int, actual: int
 ) -> FiberReport:
-    """Check the fiber of sigma three ways, from one read of its descents.
-
-    * expected: the size law C(n + m - des(sigma), n);
-    * decoded: the vectors of the chains of the descents, each validated
-      through the type's forward map (no chain exists when the law gives 0,
-      so decoding is skipped);
-    * actual: the forward-map count, ``oracle[sigma.window]`` from
-      ``fiber_counts`` when given, else sigma's window counted in ``_images``.
-
-    The report passes when the decoded vectors are distinct and
-    expected == actual == len(decoded); with the validation this makes the
-    decoded vectors exactly the fiber.
-    """
-    descents, expected = _fiber_law(group, sigma, m)
+    """The report rule of both routes: decode the chains of the descents
+    (none exist when the law gives 0, so decoding is skipped), each vector
+    validated through the type's forward map, and pass when the decoded
+    vectors are distinct and expected == actual == len(decoded); with the
+    validation this makes the decoded vectors exactly the fiber."""
     decoded = _decode(group, sigma, m, descents) if expected else []
-    if oracle is None:
-        actual = countOf(_images(group, sigma.n, m), sigma.window)
-    else:
-        actual = oracle.get(sigma.window, 0)
     passed = expected == actual == len(decoded) == len(set(decoded))
     return FiberReport(group, sigma, m, expected, actual, tuple(decoded), passed)
+
+
+def fiber_report(group: str, sigma: SignedPermutation, m: int) -> FiberReport:
+    """Check the fiber of sigma three ways, from one read of its descents:
+    the size law C(n + m - des(sigma), n), the decoded chain vectors, and
+    the forward-map count, sigma's window counted as ``_images`` streams by
+    (O(fiber) memory)."""
+    descents, expected = _fiber_law(group, sigma, m)
+    return _report(group, sigma, m, descents, expected, countOf(_images(group, sigma.n, m), sigma.window))
+
+
+def fiber_reports(group: str, n: int, m: int) -> Iterator[FiberReport]:
+    """The report of every sigma of B_n or D_n, in the order of
+    enumerate_bn/enumerate_dn, by the rule of ``fiber_report``.
+
+    The arguments are checked, the count oracle ``fiber_counts`` built and
+    the size law tabulated once per group; each sigma then costs one
+    descent read (after its type-D parity check) and one count lookup.
+    """
+    counts = fiber_counts(group, n, m)  # checks the type, n and m
+    law = [binom(n + m - d, n) for d in range(n + 1)]
+    for sigma in enumerate_bn(n) if group == "B" else enumerate_dn(n):
+        descents = _descents(group, sigma)
+        yield _report(group, sigma, m, descents, law[len(descents)], counts.get(sigma.window, 0))
 
 
 # -- missing-vector census ----------------------------------------------------

@@ -11,8 +11,8 @@ from worpitzky import cli, map_b, map_d
 from worpitzky.cli import main
 from worpitzky.eulerian import eulerian_row_d_q
 from worpitzky.map_b import phi
-from worpitzky.map_d import fiber_counts, fiber_report, fiber_size, fiber_vectors
-from worpitzky.signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
+from worpitzky.map_d import fiber_reports, fiber_size, fiber_vectors
+from worpitzky.signed_perm import SignedPermutation
 from worpitzky.sigma_vectors import enumerate_vectors, parse_vector
 
 
@@ -75,6 +75,13 @@ def test_map_type_d_missing(capsys):
 def test_map_bound_violation_is_usage_error(capsys):
     code, _, err = run(capsys, "map", "--type", "B", "--m", "1", "--vector", "2,0")
     assert code == 2 and "exceeds bound" in err
+
+
+@pytest.mark.parametrize("group,vector", [("B", "0"), ("D", "0,0")])
+def test_map_negative_m_is_usage_error(capsys, group, vector):
+    code, out, err = run(capsys, "map", "--type", group, "--m", "-1", "--vector", vector)
+    assert code == 2 and out == ""
+    assert err == "error: need m >= 0\n"
 
 
 def test_verify_worpitzky_d(capsys):
@@ -155,6 +162,42 @@ def test_verify_refuses_rows_above_the_bound_before_any_work(capsys):
     assert info.currsize == info.misses == 0
 
 
+@pytest.mark.parametrize(
+    "identity,n_range",
+    [
+        ("worpitzky-d", "45..50"),
+        ("worpitzky-b", "1..50"),
+        ("balance-d", "47..50"),
+        ("erratum-d", "2..50"),
+    ],
+)
+def test_verify_refuses_a_grid_of_rows_past_the_bound_before_any_report(
+    capsys, monkeypatch, identity, n_range
+):
+    def no_row(n):
+        raise AssertionError("a refused grid built a row")
+
+    for module, name in ((map_b, "eulerian_row_a"), (map_b, "eulerian_row_b_q"), (map_d, "eulerian_row_d_q")):
+        monkeypatch.setattr(module, name, no_row)
+    code, out, err = run(
+        capsys, "verify", "--identity", identity, "--n-range", n_range, "--m-range", "0..0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {identity} builds rows of about ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("identity", cli.IDENTITIES)
+def test_verify_admits_every_single_row_grid(identity):
+    # m = 0 keeps the worpitzky-b and balance-d sweeps at one vector
+    for n in range(2, cli.MAX_ROW_N + 1):
+        argv = ["verify", "--identity", identity, "--n-range", f"{n}..{n}", "--m-range", "0..0"]
+        cli._check_args(cli.build_parser().parse_args(argv))
+    if identity == "worpitzky-a":
+        # the whole type-A grid costs about as much as one type-B row at n = 50
+        argv[argv.index("--n-range") + 1] = f"1..{cli.MAX_ROW_N}"
+        cli._check_args(cli.build_parser().parse_args(argv))
+
+
 def test_fibers_single_sigma(capsys):
     code, out, _ = run(
         capsys, "fibers", "--type", "D", "--n", "5", "--m", "4",
@@ -207,11 +250,9 @@ def test_fibers_all_sigma_json_is_the_dumped_list_of_reports(capsys, group, n, v
     argv = ["fibers", "--type", group, "--n", str(n), "--m", "1", "--format", "json"]
     code, out, _ = run(capsys, *argv, *(["--vectors"] if vectors else []))
     assert code == 0
-    oracle = fiber_counts(group, n, 1)
-    elements = enumerate_bn(n) if group == "B" else enumerate_dn(n)
     payload = []
-    for sigma in elements:
-        d = fiber_report(group, sigma, 1, oracle=oracle).to_json_dict()
+    for r in fiber_reports(group, n, 1):
+        d = r.to_json_dict()
         if not vectors:
             del d["vectors"]
         payload.append(d)
@@ -221,15 +262,13 @@ def test_fibers_all_sigma_json_is_the_dumped_list_of_reports(capsys, group, n, v
 def test_fibers_exit_code_counts_every_report(capsys, monkeypatch):
     # one failing report in the middle of the stream fails the run, and the
     # reports after it are still printed
-    real = map_d.fiber_report
-    calls = []
+    real = map_d.fiber_reports
 
-    def fail_the_second(*args, **kwargs):
-        report = real(*args, **kwargs)
-        calls.append(report)
-        return dataclasses.replace(report, passed=False) if len(calls) == 2 else report
+    def fail_the_second(*args):
+        for i, report in enumerate(real(*args)):
+            yield dataclasses.replace(report, passed=False) if i == 1 else report
 
-    monkeypatch.setattr(map_d, "fiber_report", fail_the_second)
+    monkeypatch.setattr(map_d, "fiber_reports", fail_the_second)
     code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1", "--format", "json")
     assert code == 1
     assert [d["pass"] for d in json.loads(out)] == [True, False] + [True] * 6
@@ -266,6 +305,7 @@ def test_fibers_refuses_work_past_its_bounds_before_any_report(capsys, monkeypat
         raise AssertionError("a refused command started work")
 
     monkeypatch.setattr(map_d, "fiber_report", no_work)
+    monkeypatch.setattr(map_d, "fiber_reports", no_work)
     monkeypatch.setattr(map_d, "fiber_counts", no_work)
     code, out, err = run(capsys, "fibers", *argv.split())
     assert code == 2 and out == ""

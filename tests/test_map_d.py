@@ -1,6 +1,8 @@
 """The partial type-D map, missing-vector census, and type-D identities."""
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from worpitzky.map_d import (
     erratum_report_d,
     fiber_counts,
     fiber_report,
+    fiber_reports,
     fiber_size,
     fiber_vectors,
     missing_case1_closed,
@@ -151,20 +154,71 @@ def test_fiber_counts_reject_an_unknown_type_and_a_short_d_space():
         fiber_counts("D", 1, 1)
 
 
+def _report_of(reports, sigma):
+    (report,) = [r for r in reports if r.sigma == sigma]
+    return report
+
+
 @pytest.mark.parametrize("oracle", [False, True], ids=["streamed", "counted"])
 @pytest.mark.parametrize("group", ["B", "D"])
 def test_empty_fiber_passes_without_decoding(monkeypatch, group, oracle):
-    # des(-1,-2) = 2 in both types, so C(2 + 1 - 2, 2) = 0 at m = 1
+    # des(-1,-2) = 2 in both types, so C(2 + 1 - 2, 2) = 0 at m = 1; the
+    # counted route reports every sigma of the group, so its decoder refuses
+    # every empty fiber and decodes the others
     sigma = SignedPermutation((-1, -2))
-    counts = fiber_counts(group, 2, 1) if oracle else None
+    chains = map_d.decode_abs_chains
 
-    def no_chain(*args):
-        raise AssertionError("an empty fiber was decoded")
+    def no_empty_chain(descents, n, m):
+        if len(descents) > m:  # C(n + m - des, n) = 0
+            raise AssertionError("an empty fiber was decoded")
+        return chains(descents, n, m)
 
-    monkeypatch.setattr(map_d, "decode_abs_chains", no_chain)
-    report = fiber_report(group, sigma, 1, oracle=counts)
+    monkeypatch.setattr(map_d, "decode_abs_chains", no_empty_chain)
+    if oracle:
+        report = _report_of(fiber_reports(group, 2, 1), sigma)
+    else:
+        report = fiber_report(group, sigma, 1)
     assert (report.expected_size, report.oracle_size, report.vectors) == (0, 0, ())
     assert report.passed
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_reports_equal_the_streamed_reports(group):
+    # the counted group pass against one streamed report per sigma
+    for n in range(1 if group == "B" else 2, 5):
+        for m in range(3):
+            elements = enumerate_bn(n) if group == "B" else enumerate_dn(n)
+            streamed = [fiber_report(group, sigma, m) for sigma in elements]
+            assert list(fiber_reports(group, n, m)) == streamed
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("A", 2, 1), "unknown type 'A'"),
+        (("B", 0, 1), "need n >= 1"),
+        (("D", 1, 1), "need n >= 2"),
+        (("B", 2, -1), "m must be >= 0"),
+    ],
+)
+def test_fiber_reports_reject_bad_arguments_before_a_report(args, message):
+    with pytest.raises(ValueError, match=message):
+        next(fiber_reports(*args))
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_report_json_writer_is_json_dumps(group):
+    reports = [
+        r for n in range(1 if group == "B" else 2, 5) for m in range(3)
+        for r in fiber_reports(group, n, m)
+    ]
+    # a failing report covers the writer's false branch
+    reports.append(dataclasses.replace(reports[-1], passed=False))
+    for report in reports:
+        payload = report.to_json_dict()
+        assert report.to_json(True) == json.dumps(payload)
+        del payload["vectors"]
+        assert report.to_json(False) == json.dumps(payload)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -238,9 +292,11 @@ def test_fiber_report_fails_on_a_repeat_that_keeps_the_length(monkeypatch, group
         return iter(decoded[:-1] + decoded[:1])
 
     sigma = SignedPermutation.parse("-2,-1,3")
-    counts = fiber_counts(group, 3, 2) if oracle else None
     monkeypatch.setattr(map_d, "decode_abs_chains", repeat_for_last)
-    report = fiber_report(group, sigma, 2, oracle=counts)
+    if oracle:
+        report = _report_of(fiber_reports(group, 3, 2), sigma)
+    else:
+        report = fiber_report(group, sigma, 2)
     assert report.expected_size == report.oracle_size == len(report.vectors) > 1
     assert not report.passed
 
