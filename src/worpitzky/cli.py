@@ -45,8 +45,9 @@ MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
 # Work bound of `missing` and of the worpitzky-b and balance-d grids: at one
-# job on the same host their folds run at about 1, 1.3 and 3.5 M vectors/s
-# (7^8 vectors: 5.1-6.5 s, 4.5 s and 1.6 s), so 10^7 vectors take up to 11 s.
+# job on the same host the census, neg2 and neg folds run at about 1.4, 2.9
+# and 5.5 M vectors/s (7^8 vectors: 4.1 s, 2.0 s and 1.0 s), so 10^7 vectors
+# take up to about 8 s (`missing --n 10 --m 2`, 5^10 vectors: 7.6 s).
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
 # Work bound of a verify grid's Eulerian rows, one per distinct n: on the same
@@ -54,6 +55,13 @@ MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 # 2.8-2.9 s) and an A row in about an eighth of that, so 2 * 10^7 steps
 # take about 9 s and every single row up to MAX_ROW_N stays admitted.
 MAX_ROW_STEPS = 2 * 10**7  # n^4 per B or D row, n^4 / 8 per A row
+
+# Work bound of a verify grid's reports past its rows: a worpitzky-d or
+# erratum-d report sums m powers (bernoulli.power_sum) and n + 1 Eulerian
+# terms.  On the same host the costliest admitted grid, erratum-d at n = 50
+# with m = 0..998, takes about 11 s, 6 s of it the D row; a single report
+# at n = 50 and m near the bound takes about 1 s past its row.
+MAX_M_TERMS = 5 * 10**5  # m + 1 per report, summed over a verify grid
 
 
 def _check_args(args) -> None:
@@ -83,6 +91,12 @@ def _check_args(args) -> None:
             if steps > MAX_ROW_STEPS:
                 raise UsageError(
                     f"{args.identity} builds rows of about {steps} steps, at most {MAX_ROW_STEPS}"
+                )
+            # m + 1 summed over the m-range in closed form, once per n
+            terms = (n_hi - n_lo + 1) * (m_lo + m_hi + 2) * (m_hi - m_lo + 1) // 2
+            if terms > MAX_M_TERMS:
+                raise UsageError(
+                    f"{args.identity} sums m + 1 to {terms} over the grid, at most {MAX_M_TERMS}"
                 )
         if not verify or args.identity in ("worpitzky-b", "balance-d"):
             # n <= MAX_ROW_N, and any() stops at the first partial sum past the bound
@@ -372,6 +386,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; send the exit-time flush to devnull so it
+        # does not fail again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
 from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
 from .sigma_vectors import (
+    NO_CODE,
     Vector,
     _shard_columns,
     _sweep,
@@ -381,10 +382,19 @@ def _census_fold(shard) -> list[int]:
     def offset(c1: int, c2: int, odd: int) -> int:
         return _code_case(n, c1, c2, odd) * w - c1 % w
 
-    for codes in product(*_shard_columns(n, m, first)):
-        low = sorted(codes)
-        neg = sum(codes) % w
-        cells[offset(low[0], low[1], neg & 1) + neg] += 1
+    *head, last = _shard_columns(n, m, first)
+    for prefix in product(*head):
+        s = sum(prefix)
+        # the prefix's two smallest codes a < b; b is NO_CODE when n = 2
+        a, b, *_ = sorted((*prefix, NO_CODE))
+        for c in last:
+            neg = (s + c) % w
+            if c > b:
+                cells[offset(a, b, neg & 1) + neg] += 1
+            elif c > a:
+                cells[offset(a, c, neg & 1) + neg] += 1
+            else:
+                cells[offset(c, a, neg & 1) + neg] += 1
     return cells
 
 

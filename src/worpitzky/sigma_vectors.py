@@ -7,12 +7,15 @@ The alphabet carries the linear order
 (zero first, then by absolute value, negative before positive at equal
 absolute value).  ``order_key`` ranks a letter in this order and
 ``position_code`` a letter at a position in the order ``phi`` sorts by.  The
-sweep engine ``_sweep`` folds every vector of a shard through these codes.
+sweep engine ``_sweep`` folds every vector of a shard through these codes,
+prefix by prefix: a fold reads the sum and smallest code of each prefix of
+n-1 codes once, then takes one step per vector over the last column.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from itertools import product
 from multiprocessing import Pool
@@ -105,6 +108,10 @@ def code_entry(code: int, n: int) -> int:
     return rest % w - w if negative else rest % w
 
 
+# above every position code: the smallest code of an empty prefix
+NO_CODE = math.inf
+
+
 def _shard_columns(n: int, m: int, first: int) -> list[tuple[int, ...]]:
     """Per-position code tables of the shard of vectors starting with ``first``."""
     tail = [tuple(position_code(i, a, n) for a in letters(m)) for i in range(2, n + 1)]
@@ -115,8 +122,11 @@ def _neg_fold(shard) -> list[int]:
     n, m, first = shard
     w = n + 1
     counts = [0] * w
-    for codes in product(*_shard_columns(n, m, first)):
-        counts[sum(codes) % w] += 1
+    *head, last = _shard_columns(n, m, first)
+    for prefix in product(*head):
+        s = sum(prefix)
+        for c in last:
+            counts[(s + c) % w] += 1
     return counts
 
 
@@ -124,9 +134,15 @@ def _neg2_fold(shard) -> list[int]:
     n, m, first = shard
     w = n + 1
     counts = [0] * w
-    # the smallest code is the smallest letter; its last digit is its sign
-    for codes in product(*_shard_columns(n, m, first)):
-        counts[(sum(codes) - min(codes)) % w] += 1
+    *head, last = _shard_columns(n, m, first)
+    # the smallest code is the smallest letter; its last digit is its sign.
+    # The cell is (s + c - min(c, lo)) % w, with min written out
+    for prefix in product(*head):
+        s = sum(prefix)
+        lo = min(prefix, default=NO_CODE)
+        rest = s - lo
+        for c in last:
+            counts[(s if c < lo else rest + c) % w] += 1
     return counts
 
 

@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,15 +365,20 @@ def test_missing_json(capsys):
         "missing --n 1000000000 --m 0",
         "verify --identity worpitzky-b --n-range 14..14 --m-range 4..4",
         "verify --identity balance-d --n-range 2..50 --m-range 0..1000000000000",
+        "verify --identity worpitzky-a --n-range 2..2 --m-range 0..100000",
+        "verify --identity worpitzky-d --n-range 2..2 --m-range 0..100000",
+        "verify --identity worpitzky-d --n-range 2..2 --m-range 10000000..10000010",
+        "verify --identity erratum-d --n-range 2..2 --m-range 0..100000",
     ],
 )
 def test_sweeps_past_the_bound_are_refused_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("a refused command started work")
 
-    for fn in ("missing_census", "verify_balance_d_q"):
+    for fn in ("missing_census", "verify_balance_d_q", "verify_worpitzky_d_q1", "erratum_report_d"):
         monkeypatch.setattr(map_d, fn, no_work)
-    monkeypatch.setattr(map_b, "verify_worpitzky_b", no_work)
+    for fn in ("verify_worpitzky_a", "verify_worpitzky_b"):
+        monkeypatch.setattr(map_b, fn, no_work)
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -389,6 +398,39 @@ def test_the_sweep_bound_sums_the_vector_spaces_of_the_grid(capsys, monkeypatch,
     monkeypatch.setattr(cli, "MAX_SWEEP_VECTORS", vectors - 1)
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,terms",
+    [
+        ("verify --identity worpitzky-a --n-range 1..1 --m-range 0..3", 1 + 2 + 3 + 4),
+        ("verify --identity worpitzky-d --n-range 2..3 --m-range 1..2", 2 * (2 + 3)),
+        ("verify --identity erratum-d --n-range 2..2 --m-range 5..5", 6),
+    ],
+)
+def test_the_m_bound_sums_m_plus_one_over_the_grid(capsys, monkeypatch, argv, terms):
+    monkeypatch.setattr(cli, "MAX_M_TERMS", terms)
+    assert run(capsys, *argv.split())[0] == 0
+    monkeypatch.setattr(cli, "MAX_M_TERMS", terms - 1)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_a_closed_stdout_exits_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "worpitzky.cli", "fibers", "--type", "B", "--n", "5", "--m", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # about 190 kB of reports, more than a pipe buffers, so a write meets the closed pipe
+    assert proc.stdout.readline().startswith(b"sigma=")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    # no traceback, and no "Exception ignored" line from the exit-time flush
+    assert err == ""
 
 
 def test_oeis_check_passes(capsys):

@@ -358,13 +358,13 @@ def test_census_parallel_matches_serial():
 
 
 def test_census_fold_classifies_every_vector_as_psi(monkeypatch):
-    # one-vector shards: the fold's product yields the codes of v alone
-    shard = []
-    monkeypatch.setattr(map_d, "product", lambda *columns: shard)
+    # one-vector shards: one column per position, holding v's code alone
+    columns = []
+    monkeypatch.setattr(map_d, "_shard_columns", lambda n, m, first: columns)
     for n in range(2, 6):
         for m in range(4):
             for v in enumerate_vectors(n, m):
-                shard[:] = [tuple(position_code(i, a, n) for i, a in enumerate(v, start=1))]
+                columns[:] = [(position_code(i, a, n),) for i, a in enumerate(v, start=1)]
                 cells = map_d._census_fold((n, m, v[0]))
                 outcome = psi(v)
                 block = len(MISSING_CASES) if outcome.is_associated else MISSING_CASES.index(

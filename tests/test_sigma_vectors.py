@@ -107,7 +107,7 @@ def test_parallel_reduction_matches_serial():
 
 @pytest.mark.parametrize("fold, stat", [(_neg_fold, neg_vec), (_neg2_fold, neg2_vec)])
 def test_folds_equal_the_per_vector_statistics(fold, stat):
-    for n in range(1, 5):
+    for n in range(1, 6):
         for m in range(4):
             for first in range(-m, m + 1):
                 tally = [0] * (n + 1)
