@@ -36,11 +36,11 @@ class UsageError(Exception):
 
 D_IDENTITIES = ("worpitzky-d", "balance-d", "erratum-d")
 
-# Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11: a
-# --sigma report counts about 0.5 M vectors/s (5^8 vectors: 0.6 s) and
-# all-sigma reports run at about 1.2-1.7 x 10^5/s (B_7 at m=1: 3.8-3.9 s; at
-# m=2 with JSON vectors, the largest admitted, 5.2-5.4 s; B_8 would be 16
-# times B_7).
+# Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11.7 (a
+# host whose speed varied by up to 2x over the runs): a --sigma report counts
+# about 0.5-0.9 M vectors/s (5^8 vectors: 0.4-0.7 s) and all-sigma reports
+# run at about 1.2-1.4 x 10^5/s (B_7 at m=1: 4.5-5.5 s; at m=2 with JSON
+# vectors, the largest admitted, 7.2-7.9 s; B_8 would be 16 times B_7).
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
@@ -51,9 +51,10 @@ MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
 # Work bound of a verify grid's Eulerian rows, one per distinct n: on the same
-# host the transfer DP builds a B or D row in about 0.46 us * n^4 (n = 50:
-# 2.8-2.9 s) and an A row in about an eighth of that, so 2 * 10^7 steps
-# take about 9 s and every single row up to MAX_ROW_N stays admitted.
+# host the transfer DP builds a B or D row in about 0.9 us * n^4 (n = 50:
+# B 5.5-5.8 s, D 5.3-5.9 s) and an A row in about an eighth of that, so
+# 2 * 10^7 steps take about 16-18 s (the D rows 48..50, 1.7 * 10^7 steps:
+# 14 s) and every single row up to MAX_ROW_N stays admitted.
 MAX_ROW_STEPS = 2 * 10**7  # n^4 per B or D row, n^4 / 8 per A row
 
 # Work bound of a verify grid's reports past its rows: a worpitzky-d or

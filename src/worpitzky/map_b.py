@@ -27,8 +27,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
-from typing import Iterator, Sequence
+from operator import add
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactnum import QPolynomial, binom
 from .eulerian import eulerian_row_a, eulerian_row_b_q
@@ -61,9 +61,10 @@ def decode_abs_chains(
     strictly increasing chain in [1, m + n - des], from the increasing
     descent positions of sigma."""
     top = m + n - len(descents)
-    prefix = [bisect_left(descents, i) for i in range(1, n + 1)]
+    # |a_{|sigma_i|}| = b_i + shift_i with shift_i = #{descents j < i} - i
+    shift = [bisect_left(descents, i) - i for i in range(1, n + 1)]
     for chain in itertools.combinations(range(1, top + 1), n):
-        yield tuple(b - i + prefix[i - 1] for i, b in enumerate(chain, start=1))
+        yield tuple(map(add, chain, shift))
 
 
 def phi_fibers(n: int, m: int) -> dict[SignedPermutation, list[Vector]]:
@@ -117,8 +118,7 @@ class IdentityReport:
         return d
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     """Closed-form size vs. forward-map oracle vs. decoded chain vectors."""
 
     group: str  # "B" | "D"
@@ -142,16 +142,19 @@ class FiberReport:
 
     def to_json(self, vectors: bool) -> str:
         """``json.dumps(self.to_json_dict())``, less "vectors" unless
-        ``vectors``, written directly in the report's fixed shape."""
-        text = (
-            f'{{"type": {encode_basestring_ascii(self.group)}, '
-            f'"sigma": {encode_basestring_ascii(self.sigma.format())}, "m": {self.m}, '
-            f'"expected": {self.expected_size}, "actual": {self.oracle_size}, '
-            f'"pass": {"true" if self.passed else "false"}'
+        ``vectors``, written directly in the report's fixed shape: the type
+        letter and sigma's digits, commas and minus signs need no escaping,
+        and a list of int lists prints as JSON does."""
+        text = '{"type": "%s", "sigma": "%s", "m": %d, "expected": %d, "actual": %d, "pass": %s' % (
+            self.group,
+            self.sigma.format(),
+            self.m,
+            self.expected_size,
+            self.oracle_size,
+            "true" if self.passed else "false",
         )
         if vectors:
-            rows = ("[" + ", ".join(map(str, v)) + "]" for v in self.vectors)
-            text += ', "vectors": [' + ", ".join(rows) + "]"
+            text += ', "vectors": %s' % list(map(list, self.vectors))
         return text + "}"
 
 

@@ -1,7 +1,6 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -270,12 +269,29 @@ def test_fibers_exit_code_counts_every_report(capsys, monkeypatch):
 
     def fail_the_second(*args):
         for i, report in enumerate(real(*args)):
-            yield dataclasses.replace(report, passed=False) if i == 1 else report
+            yield report._replace(passed=False) if i == 1 else report
 
     monkeypatch.setattr(map_d, "fiber_reports", fail_the_second)
     code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1", "--format", "json")
     assert code == 1
     assert [d["pass"] for d in json.loads(out)] == [True, False] + [True] * 6
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fibers_exit_code_counts_a_failed_empty_law(capsys, monkeypatch, group):
+    # one vector counted on -1,-2, whose law C(2 + 1 - 2, 2) is 0 at m = 1
+    real = map_d.fiber_counts
+
+    def one_more(*args):
+        counts = real(*args)
+        counts[(-1, -2)] += 1
+        return counts
+
+    monkeypatch.setattr(map_d, "fiber_counts", one_more)
+    code, out, _ = run(capsys, "fibers", "--type", group, "--n", "2", "--m", "1", "--format", "json")
+    assert code == 1
+    failed = [d for d in json.loads(out) if not d["pass"]]
+    assert failed == [{"type": group, "sigma": "-1,-2", "m": 1, "expected": 0, "actual": 1, "pass": False}]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """The partial type-D map, missing-vector census, and type-D identities."""
 
 import ast
-import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -183,6 +183,37 @@ def test_empty_fiber_passes_without_decoding(monkeypatch, group, oracle):
 
 
 @pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_reports_fail_a_count_on_an_empty_law(monkeypatch, group):
+    # des(-1,-2) = 2 in both types, so C(2 + 1 - 2, 2) = 0 at m = 1, and the
+    # real count is 0 too; the count oracle is made to read one vector more
+    sigma = SignedPermutation((-1, -2))
+    real = map_d.fiber_counts
+    assert real(group, 2, 1)[sigma.window] == 0
+
+    def one_more(*args):
+        counts = real(*args)
+        counts[sigma.window] += 1
+        return counts
+
+    monkeypatch.setattr(map_d, "fiber_counts", one_more)
+    reports = list(fiber_reports(group, 2, 1))
+    report = _report_of(reports, sigma)
+    assert (report.expected_size, report.oracle_size, report.vectors) == (0, 1, ())
+    assert not report.passed
+    assert all(r.passed for r in reports if r.sigma != sigma)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_vectors_equal_the_brute_vector_oracles(group):
+    for n in range(1 if group == "B" else 2, 5):
+        for m in range(3):
+            swept = phi_fibers(n, m) if group == "B" else psi_fibers(n, m)[0]
+            for sigma in enumerate_bn(n) if group == "B" else enumerate_dn(n):
+                decoded = sorted(fiber_vectors(group, sigma, m))
+                assert decoded == sorted(swept.get(sigma, [])), (sigma, m)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
 def test_fiber_reports_equal_the_streamed_reports(group):
     # the counted group pass against one streamed report per sigma
     for n in range(1 if group == "B" else 2, 5):
@@ -190,6 +221,16 @@ def test_fiber_reports_equal_the_streamed_reports(group):
             elements = enumerate_bn(n) if group == "B" else enumerate_dn(n)
             streamed = [fiber_report(group, sigma, m) for sigma in elements]
             assert list(fiber_reports(group, n, m)) == streamed
+
+
+def test_fiber_reports_run_one_full_collection_after_the_last_report(monkeypatch):
+    # the collection that clears the free lists of the dropped count oracle
+    # runs once per group pass, after its last report, never per sigma
+    reports, calls = [], []
+    monkeypatch.setattr(map_d, "gc", SimpleNamespace(collect=lambda: calls.append(len(reports))))
+    for report in fiber_reports("D", 3, 1):
+        reports.append(report)
+    assert calls == [len(reports)] == [24]
 
 
 @pytest.mark.parametrize(
@@ -213,7 +254,7 @@ def test_fiber_report_json_writer_is_json_dumps(group):
         for r in fiber_reports(group, n, m)
     ]
     # a failing report covers the writer's false branch
-    reports.append(dataclasses.replace(reports[-1], passed=False))
+    reports.append(reports[-1]._replace(passed=False))
     for report in reports:
         payload = report.to_json_dict()
         assert report.to_json(True) == json.dumps(payload)
