@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
 
@@ -27,14 +28,22 @@ from .sigma_vectors import format_vector, parse_vector
 
 JOBS_ENV_VAR = "WORPITZKY_JOBS"
 
-IDENTITIES = ("worpitzky-a", "worpitzky-b", "worpitzky-d", "balance-d", "erratum-d")
-
 
 class UsageError(Exception):
     pass
 
 
-D_IDENTITIES = ("worpitzky-d", "balance-d", "erratum-d")
+# Per identity: its report call (n, m, jobs), made through the module attribute
+# so a patched or rebound library name is the one called; its least n; whether
+# it sweeps the vector space of each (n, m) cell; its rows cost n^4 / row_divisor.
+Identity = namedtuple("Identity", "report least_n sweeps row_divisor")
+IDENTITIES = {
+    "worpitzky-a": Identity(lambda n, m, jobs: map_b.verify_worpitzky_a(n, m), 1, False, 8),
+    "worpitzky-b": Identity(lambda n, m, jobs: map_b.verify_worpitzky_b(n, m, jobs=jobs), 1, True, 1),
+    "worpitzky-d": Identity(lambda n, m, jobs: map_d.verify_worpitzky_d_q1(n, m), 2, False, 1),
+    "balance-d": Identity(lambda n, m, jobs: map_d.verify_balance_d_q(n, m, jobs=jobs), 2, True, 1),
+    "erratum-d": Identity(lambda n, m, jobs: map_d.erratum_report_d(n, m), 2, False, 1),
+}
 
 # Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11.7 (a
 # host whose speed varied by up to 2x over the runs): a --sigma report counts
@@ -50,12 +59,12 @@ MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 # take up to about 8 s (`missing --n 10 --m 2`, 5^10 vectors: 7.6 s).
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
-# Work bound of a verify grid's Eulerian rows, one per distinct n: on the same
-# host the transfer DP builds a B or D row in about 0.9 us * n^4 (n = 50:
-# B 5.5-5.8 s, D 5.3-5.9 s) and an A row in about an eighth of that, so
-# 2 * 10^7 steps take about 16-18 s (the D rows 48..50, 1.7 * 10^7 steps:
-# 14 s) and every single row up to MAX_ROW_N stays admitted.
-MAX_ROW_STEPS = 2 * 10**7  # n^4 per B or D row, n^4 / 8 per A row
+# Work bound of the Eulerian rows of a verify grid or of oeis-check, one per
+# distinct n: on the same host the transfer DP builds a B or D row in about
+# 0.9 us * n^4 (n = 50: B 5.5-5.8 s, D 5.3-5.9 s) and an A row in an eighth of
+# that, so 10^7 steps take up to about 9 s; every single row (n = 50: 6.25 *
+# 10^6 steps) and the whole worpitzky-a grid 1..50 (8.2 * 10^6) stay admitted.
+MAX_ROW_STEPS = 10**7  # n^4 per B or D row, n^4 / 8 per A row
 
 # Work bound of a verify grid's reports past its rows: a worpitzky-d or
 # erratum-d report sums m powers (bernoulli.power_sum) and n + 1 Eulerian
@@ -66,48 +75,25 @@ MAX_M_TERMS = 5 * 10**5  # m + 1 per report, summed over a verify grid
 
 
 def _check_args(args) -> None:
-    """Post-validation argparse cannot express: resolve the job count,
-    require n >= 2 wherever type D is involved and m >= 0 wherever m is, and
-    bound the verify grid's rows, the brute sweeps and the fibers work
-    before any of it starts."""
+    """Post-validation argparse cannot express, one branch per command: the
+    job count, n >= 2 wherever type D is involved, m >= 0 wherever m is, and
+    the bounds on rows, brute sweeps and fibers work, before any work."""
     if hasattr(args, "jobs"):
         args.jobs = _job_count(args.jobs)
-    n_lo = args.n_range[0] if hasattr(args, "n_range") else getattr(args, "n", None)
-    needs_d = (
-        getattr(args, "type", None) == "D" and args.command in ("fibers", "eulerian")
-    ) or args.command == "missing" or getattr(args, "identity", None) in D_IDENTITIES
-    if needs_d and n_lo is not None and n_lo < 2:
-        raise UsageError(f"{getattr(args, 'identity', args.command)} requires n >= 2")
-    if args.command in ("verify", "missing"):
-        verify = args.command == "verify"
-        n_lo, n_hi = args.n_range if verify else (args.n, args.n)
-        m_lo, m_hi = args.m_range if verify else (args.m, args.m)
-        if n_lo < 1 or m_lo < 0:
-            raise UsageError("need n >= 1 and m >= 0")
-        if n_hi > MAX_ROW_N:
-            raise UsageError(f"n must be <= {MAX_ROW_N}")
-        if verify:
-            share = 8 if args.identity == "worpitzky-a" else 1
-            steps = sum(n**4 for n in range(n_lo, n_hi + 1)) // share
-            if steps > MAX_ROW_STEPS:
-                raise UsageError(
-                    f"{args.identity} builds rows of about {steps} steps, at most {MAX_ROW_STEPS}"
-                )
-            # m + 1 summed over the m-range in closed form, once per n
-            terms = (n_hi - n_lo + 1) * (m_lo + m_hi + 2) * (m_hi - m_lo + 1) // 2
-            if terms > MAX_M_TERMS:
-                raise UsageError(
-                    f"{args.identity} sums m + 1 to {terms} over the grid, at most {MAX_M_TERMS}"
-                )
-        if not verify or args.identity in ("worpitzky-b", "balance-d"):
-            # n <= MAX_ROW_N, and any() stops at the first partial sum past the bound
-            sizes = ((2 * m + 1) ** n for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
-            if any(total > MAX_SWEEP_VECTORS for total in accumulate(sizes)):
-                name = getattr(args, "identity", "missing")
-                raise UsageError(f"{name} sweeps more than {MAX_SWEEP_VECTORS} vectors")
-    if args.command == "map" and args.m < 0:
+    if args.command == "verify":
+        _, least_n, sweeps, row_divisor = IDENTITIES[args.identity]
+        _check_grid(args.identity, least_n, sweeps, args.n_range, args.m_range, row_divisor)
+    elif args.command == "missing":
+        _check_grid("missing", 2, True, (args.n, args.n), (args.m, args.m))
+    elif args.command == "oeis-check":
+        _check_rows(args.seq, oeis.SEQUENCES[args.seq].min_n, args.max_n)
+    elif args.command == "eulerian" and args.type == "D" and args.n < 2:
+        raise UsageError("eulerian requires n >= 2")
+    elif args.command == "map" and args.m < 0:
         raise UsageError("need m >= 0")
-    if args.command == "fibers":
+    elif args.command == "fibers":
+        if args.type == "D" and args.n < 2:
+            raise UsageError("fibers requires n >= 2")
         if args.n < 1 or args.m < 0:
             raise UsageError("need n >= 1 and m >= 0")
         if args.m and _exceeds(repeat(2 * args.m + 1, args.n), MAX_FIBER_VECTORS):
@@ -119,6 +105,38 @@ def _check_args(args) -> None:
                 f"all-sigma fibers reports |{args.type}_n| sigmas, at most "
                 f"{MAX_FIBER_REPORTS}; pick one with --sigma"
             )
+
+
+def _check_grid(name: str, least_n: int, sweeps: bool, n_range, m_range, row_divisor: int = 0) -> None:
+    """Refuse a verify or missing (n, m) grid: n below least_n, n < 1 or m < 0,
+    verify's rows and m terms (else n past MAX_ROW_N), then the sweep."""
+    (n_lo, n_hi), (m_lo, m_hi) = n_range, m_range
+    if n_lo < least_n and least_n > 1:  # n < 1 alone gets the message below
+        raise UsageError(f"{name} requires n >= {least_n}")
+    if n_lo < 1 or m_lo < 0:
+        raise UsageError("need n >= 1 and m >= 0")
+    if row_divisor:
+        _check_rows(name, n_lo, n_hi, row_divisor)
+        # m + 1 summed over the m-range in closed form, once per n
+        terms = (n_hi - n_lo + 1) * (m_lo + m_hi + 2) * (m_hi - m_lo + 1) // 2
+        if terms > MAX_M_TERMS:
+            raise UsageError(f"{name} sums m + 1 to {terms} over the grid, at most {MAX_M_TERMS}")
+    elif n_hi > MAX_ROW_N:
+        raise UsageError(f"n must be <= {MAX_ROW_N}")
+    if sweeps:
+        # n <= MAX_ROW_N, and any() stops at the first partial sum past the bound
+        sizes = ((2 * m + 1) ** n for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
+        if any(total > MAX_SWEEP_VECTORS for total in accumulate(sizes)):
+            raise UsageError(f"{name} sweeps more than {MAX_SWEEP_VECTORS} vectors")
+
+
+def _check_rows(name: str, n_lo: int, n_hi: int, row_divisor: int = 1) -> None:
+    """Refuse rows n_lo..n_hi past MAX_ROW_N, or past MAX_ROW_STEPS in all."""
+    if n_hi > MAX_ROW_N:
+        raise UsageError(f"n must be <= {MAX_ROW_N}")
+    steps = sum(n**4 for n in range(n_lo, n_hi + 1)) // row_divisor
+    if steps > MAX_ROW_STEPS:
+        raise UsageError(f"{name} builds rows of about {steps} steps, at most {MAX_ROW_STEPS}")
 
 
 def _exceeds(factors, cap: int) -> bool:
@@ -172,54 +190,41 @@ def cmd_eulerian(args) -> int:
     return 0
 
 
-def _verify_one(identity: str, n: int, m: int, jobs: int):
-    if identity == "worpitzky-a":
-        return map_b.verify_worpitzky_a(n, m)
-    if identity == "worpitzky-b":
-        return map_b.verify_worpitzky_b(n, m, jobs=jobs)
-    if identity == "worpitzky-d":
-        return map_d.verify_worpitzky_d_q1(n, m)
-    if identity == "balance-d":
-        return map_d.verify_balance_d_q(n, m, jobs=jobs)
-    if identity == "erratum-d":
-        return map_d.erratum_report_d(n, m)
-    raise UsageError(f"unknown identity {identity!r}")
+def _write_reports(reports, show, sep: str = "", head: str = "", tail=lambda ok: "") -> int:
+    """Write ``head``, each ``show(report)`` as soon as the report is built,
+    joined by ``sep``, then ``tail(ok)``; ok: every report passed."""
+    write = sys.stdout.write
+    write(head)
+    ok, lead = True, ""
+    for r in reports:
+        ok = ok and r.passed
+        write(lead + show(r))
+        lead = sep
+    write(tail(ok))
+    return 0 if ok else 1
+
+
+def _verify_text(r) -> str:
+    if r.identity == "erratum-d":
+        status = "CONFIRMED" if r.passed else "NOT CONFIRMED"
+        at_q1 = f"(at q=1: {r.extras['printed_at_q1']} vs {r.extras['rhs_at_q1']})"
+        return f"erratum-d n={r.n} m={r.m}: {status}  printed={r.lhs} rhs={r.rhs} {at_q1}\n"
+    status = "PASS" if r.passed else "FAIL"
+    brute = f" brute={r.extras['brute']}" if "brute" in r.extras else ""
+    return f"{r.identity} n={r.n} m={r.m}: {status}  lhs={r.lhs} rhs={r.rhs}{brute}\n"
 
 
 def cmd_verify(args) -> int:
-    n_lo, n_hi = args.n_range
-    m_lo, m_hi = args.m_range
-    reports = [
-        _verify_one(args.identity, n, m, args.jobs)
-        for n in range(n_lo, n_hi + 1)
-        for m in range(m_lo, m_hi + 1)
-    ]
-    ok = all(r.passed for r in reports)
-    if args.format == "json":
-        print(json.dumps({"reports": [r.to_json_dict() for r in reports], "pass": ok}))
-    elif args.format == "csv":
-        print("identity,n,m,lhs,rhs,pass")
-        for r in reports:
-            print(f"{r.identity},{r.n},{r.m},{r.lhs},{r.rhs},{r.passed}")
-    else:
-        for r in reports:
-            if r.identity == "erratum-d":
-                status = "CONFIRMED" if r.passed else "NOT CONFIRMED"
-                print(
-                    f"erratum-d n={r.n} m={r.m}: {status}  printed={r.lhs} "
-                    f"rhs={r.rhs} (at q=1: {r.extras['printed_at_q1']} "
-                    f"vs {r.extras['rhs_at_q1']})"
-                )
-            else:
-                status = "PASS" if r.passed else "FAIL"
-                line = (
-                    f"{r.identity} n={r.n} m={r.m}: {status}  "
-                    f"lhs={r.lhs} rhs={r.rhs}"
-                )
-                if "brute" in r.extras:
-                    line += f" brute={r.extras['brute']}"
-                print(line)
-    return 0 if ok else 1
+    (n_lo, n_hi), (m_lo, m_hi) = args.n_range, args.m_range
+    report = IDENTITIES[args.identity].report
+    reports = (report(n, m, args.jobs) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
+    if args.format == "json":  # the bytes of json.dumps({"reports": [...], "pass": ok})
+        tail = lambda ok: f'], "pass": {json.dumps(ok)}}}\n'  # noqa: E731
+        return _write_reports(reports, lambda r: json.dumps(r.to_json_dict()), ", ", '{"reports": [', tail)
+    if args.format == "csv":
+        csv_row = lambda r: f"{r.identity},{r.n},{r.m},{r.lhs},{r.rhs},{r.passed}\n"  # noqa: E731
+        return _write_reports(reports, csv_row, head="identity,n,m,lhs,rhs,pass\n")
+    return _write_reports(reports, _verify_text)
 
 
 def cmd_map(args) -> int:
@@ -242,25 +247,17 @@ def cmd_fibers(args) -> int:
     else:
         reports = map_d.fiber_reports(args.type, args.n, args.m)
     show_vectors = args.vectors or args.sigma is not None
+
+    def text(r) -> str:
+        status = "ok" if r.passed else "MISMATCH"
+        line = f"sigma={r.sigma.format()} m={r.m} expected={r.expected_size} actual={r.oracle_size} {status}\n"
+        return line + "".join(f"  {format_vector(v)}\n" for v in r.vectors) if show_vectors else line
+    if args.format == "text":
+        return _write_reports(reports, text)
+    if args.sigma is not None:
+        return _write_reports(reports, lambda r: r.to_json(True) + "\n")
     # all-sigma JSON is one list, written an item at a time as json.dumps would
-    listing = args.format == "json" and args.sigma is None
-    ok = True
-    for i, r in enumerate(reports):
-        ok = ok and r.passed
-        if args.format == "json":
-            head = ("[" if i == 0 else ", ") if listing else ""
-            print(head + r.to_json(show_vectors), end="" if listing else "\n")
-        else:
-            print(
-                f"sigma={r.sigma.format()} m={r.m} expected={r.expected_size} "
-                f"actual={r.oracle_size} {'ok' if r.passed else 'MISMATCH'}"
-            )
-            if show_vectors:
-                for v in r.vectors:
-                    print("  " + format_vector(v))
-    if listing:
-        print("]")
-    return 0 if ok else 1
+    return _write_reports(reports, lambda r: r.to_json(show_vectors), ", ", "[", lambda ok: "]\n")
 
 
 def cmd_missing(args) -> int:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from worpitzky import cli, map_b, map_d
+from worpitzky import cli, map_b, map_d, oeis
 from worpitzky.cli import main
 from worpitzky.eulerian import eulerian_row_d_q
 from worpitzky.map_b import phi
@@ -169,6 +170,7 @@ def test_verify_refuses_rows_above_the_bound_before_any_work(capsys):
     "identity,n_range",
     [
         ("worpitzky-d", "45..50"),
+        ("worpitzky-d", "48..50"),
         ("worpitzky-b", "1..50"),
         ("balance-d", "47..50"),
         ("erratum-d", "2..50"),
@@ -199,6 +201,83 @@ def test_verify_admits_every_single_row_grid(identity):
         # the whole type-A grid costs about as much as one type-B row at n = 50
         argv[argv.index("--n-range") + 1] = f"1..{cli.MAX_ROW_N}"
         cli._check_args(cli.build_parser().parse_args(argv))
+
+
+# the library report of each identity, by the module and name the CLI calls
+LIBRARY = {
+    "worpitzky-a": (map_b, "verify_worpitzky_a"),
+    "worpitzky-b": (map_b, "verify_worpitzky_b"),
+    "worpitzky-d": (map_d, "verify_worpitzky_d_q1"),
+    "balance-d": (map_d, "verify_balance_d_q"),
+    "erratum-d": (map_d, "erratum_report_d"),
+}
+
+
+def buffered_verify_output(reports, fmt):
+    """The whole verify output, built from the finished list of reports."""
+    ok = all(r.passed for r in reports)
+    if fmt == "json":
+        return json.dumps({"reports": [r.to_json_dict() for r in reports], "pass": ok}) + "\n"
+    if fmt == "csv":
+        rows = [f"{r.identity},{r.n},{r.m},{r.lhs},{r.rhs},{r.passed}" for r in reports]
+        return "\n".join(["identity,n,m,lhs,rhs,pass", *rows]) + "\n"
+    lines = []
+    for r in reports:
+        if r.identity == "erratum-d":
+            status = "CONFIRMED" if r.passed else "NOT CONFIRMED"
+            lines.append(
+                f"erratum-d n={r.n} m={r.m}: {status}  printed={r.lhs} rhs={r.rhs} "
+                f"(at q=1: {r.extras['printed_at_q1']} vs {r.extras['rhs_at_q1']})"
+            )
+        else:
+            line = f"{r.identity} n={r.n} m={r.m}: {'PASS' if r.passed else 'FAIL'}  lhs={r.lhs} rhs={r.rhs}"
+            lines.append(line + (f" brute={r.extras['brute']}" if "brute" in r.extras else ""))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["pass", "one-fails"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("identity", cli.IDENTITIES)
+def test_streamed_verify_output_equals_the_buffered_output(capsys, monkeypatch, identity, fmt, failing):
+    module, name = LIBRARY[identity]
+    real = getattr(module, name)
+
+    def report(n, m, **kwargs):
+        r = real(n, m, **kwargs)
+        return dataclasses.replace(r, passed=False) if failing and (n, m) == (3, 1) else r
+
+    monkeypatch.setattr(module, name, report)
+    reports = [report(n, m) for n in range(2, 4) for m in range(3)]
+    argv = ["verify", "--identity", identity, "--n-range", "2..3", "--m-range", "0..2", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == (1 if failing else 0)
+    assert out == buffered_verify_output(reports, fmt)
+    if failing and fmt == "json":
+        assert out.endswith('], "pass": false}\n')
+    if failing and fmt == "text":
+        assert ("NOT CONFIRMED" if identity == "erratum-d" else "FAIL") in out
+
+
+@pytest.mark.parametrize(
+    "fmt,marker",
+    [("text", "worpitzky-d n="), ("csv", "\nworpitzky-d,"), ("json", '"identity": "worpitzky-d"')],
+)
+def test_verify_writes_each_report_before_it_builds_the_next(monkeypatch, fmt, marker):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    real = map_d.verify_worpitzky_d_q1
+    written = []
+
+    def report(n, m):
+        written.append(out.getvalue().count(marker))
+        return real(n, m)
+
+    monkeypatch.setattr(map_d, "verify_worpitzky_d_q1", report)
+    argv = ["verify", "--identity", "worpitzky-d", "--n-range", "2..3", "--m-range", "0..2", "--format", fmt]
+    assert main(argv) == 0
+    # at the k-th report call, the k - 1 reports before it are on stdout
+    assert written == list(range(6))
+    assert out.getvalue().count(marker) == 6
 
 
 def test_fibers_single_sigma(capsys):
@@ -475,6 +554,33 @@ def test_oeis_check_warns_when_the_bfile_head_does_not_align(capsys, tmp_path):
     )
     assert code == 1 and "MISMATCH" in out
     assert err == "warning: could not align data head, using fixture layout\n"
+
+
+@pytest.mark.parametrize(
+    "seq,max_n,error",
+    [
+        ("A060187", "51", "error: n must be <= 50\n"),
+        ("A262226", "51", "error: n must be <= 50\n"),
+        ("A060187", "35", "error: A060187 builds rows of about 11268978 steps, at most 10000000\n"),
+        ("A262226", "35", "error: A262226 builds rows of about 11268977 steps, at most 10000000\n"),
+    ],
+)
+def test_oeis_check_refuses_rows_past_the_bound_before_any_row(capsys, monkeypatch, tmp_path, seq, max_n, error):
+    def no_row(n):
+        raise AssertionError("a refused command built a row")
+
+    for name in ("eulerian_row_b_q", "eulerian_row_d_q"):
+        monkeypatch.setattr(oeis, name, no_row)
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("".join(f"{i} 1\n" for i in range(1, 2000)))
+    code, out, err = run(capsys, "oeis-check", "--seq", seq, "--max-n", max_n, "--bfile", str(bfile))
+    assert code == 2 and out == "" and err == error
+
+
+@pytest.mark.parametrize("seq", sorted(oeis.SEQUENCES))
+def test_oeis_check_admits_rows_up_to_the_bound(seq):
+    # rows up to 34 are about 9.8 * 10^6 steps, and 35 would pass the bound
+    cli._check_args(cli.build_parser().parse_args(["oeis-check", "--seq", seq, "--max-n", "34"]))
 
 
 def test_oeis_check_missing_bfile_is_usage_error(capsys, tmp_path):
