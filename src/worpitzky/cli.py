@@ -46,10 +46,11 @@ IDENTITIES = {
 }
 
 # Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11.7 (a
-# host whose speed varied by up to 2x over the runs): a --sigma report counts
-# about 0.5-0.9 M vectors/s (5^8 vectors: 0.4-0.7 s) and all-sigma reports
-# run at about 1.2-1.4 x 10^5/s (B_7 at m=1: 4.5-5.5 s; at m=2 with JSON
-# vectors, the largest admitted, 7.2-7.9 s; B_8 would be 16 times B_7).
+# host whose speed varied by up to 2x; these runs were at its fast end): a
+# --sigma report counts about 1.2 M vectors/s (5^8 vectors: 0.31 s) and
+# all-sigma reports run at about 4.5 x 10^5/s (B_7 at m=1: 1.42-1.45 s; at
+# m=2 with JSON vectors, the largest admitted, 2.47-2.51 s; B_8 would be 16
+# times B_7).
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
@@ -247,17 +248,19 @@ def cmd_fibers(args) -> int:
     else:
         reports = map_d.fiber_reports(args.type, args.n, args.m)
     show_vectors = args.vectors or args.sigma is not None
+    mid = f" m={args.m} expected="  # the fields that are the same in every line
 
     def text(r) -> str:
         status = "ok" if r.passed else "MISMATCH"
-        line = f"sigma={r.sigma.format()} m={r.m} expected={r.expected_size} actual={r.oracle_size} {status}\n"
+        line = f"sigma={format_vector(r.sigma.window)}{mid}{r.expected_size} actual={r.oracle_size} {status}\n"
         return line + "".join(f"  {format_vector(v)}\n" for v in r.vectors) if show_vectors else line
     if args.format == "text":
         return _write_reports(reports, text)
+    to_json = map_b.fiber_json_writer(args.type, args.m, show_vectors)
     if args.sigma is not None:
-        return _write_reports(reports, lambda r: r.to_json(True) + "\n")
+        return _write_reports(reports, lambda r: to_json(r) + "\n")
     # all-sigma JSON is one list, written an item at a time as json.dumps would
-    return _write_reports(reports, lambda r: r.to_json(show_vectors), ", ", "[", lambda ok: "]\n")
+    return _write_reports(reports, to_json, ", ", "[", lambda ok: "]\n")
 
 
 def cmd_missing(args) -> int:

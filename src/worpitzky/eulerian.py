@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import add, methodcaller, sub
 
 from .exactnum import QPolynomial
-from .signed_perm import SignedPermutation, _signed_windows, enumerate_bn, enumerate_dn
+from .signed_perm import SignedPermutation, _elements, enumerate_bn, enumerate_dn
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def enumerated_row(group: str, n: int) -> EulerianRow:
     the transfer DP is tested against."""
     _check_n(group, n)
     if group == "A":
-        elements = _signed_windows(n, (0,))
+        elements = _elements(n, "A")
     else:
         elements = enumerate_bn(n) if group == "B" else enumerate_dn(n)
     weight = SignedPermutation.neg2 if group == "D" else SignedPermutation.neg

@@ -28,7 +28,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .exactnum import QPolynomial, binom
 from .eulerian import eulerian_row_a, eulerian_row_b_q
@@ -38,6 +38,7 @@ from .sigma_vectors import (
     check_bound,
     code_entry,
     enumerate_vectors,
+    format_vector,
     position_code,
     total_weight_neg,
 )
@@ -142,20 +143,24 @@ class FiberReport(NamedTuple):
 
     def to_json(self, vectors: bool) -> str:
         """``json.dumps(self.to_json_dict())``, less "vectors" unless
-        ``vectors``, written directly in the report's fixed shape: the type
-        letter and sigma's digits, commas and minus signs need no escaping,
-        and a list of int lists prints as JSON does."""
-        text = '{"type": "%s", "sigma": "%s", "m": %d, "expected": %d, "actual": %d, "pass": %s' % (
-            self.group,
-            self.sigma.format(),
-            self.m,
-            self.expected_size,
-            self.oracle_size,
-            "true" if self.passed else "false",
-        )
-        if vectors:
-            text += ', "vectors": %s' % list(map(list, self.vectors))
-        return text + "}"
+        ``vectors``; see ``fiber_json_writer``."""
+        return fiber_json_writer(self.group, self.m, vectors)(self)
+
+
+def fiber_json_writer(group: str, m: int, vectors: bool) -> Callable[[FiberReport], str]:
+    """``FiberReport.to_json`` for the reports of one type and m, written
+    directly in the report's fixed shape with those two fields formatted
+    once: the type letter and sigma's digits, commas and minus signs need
+    no escaping, and a list of int lists prints as JSON does."""
+    head = '{"type": "%s", "sigma": "' % group
+    mid = '", "m": %d, "expected": ' % m
+
+    def to_json(r: FiberReport) -> str:
+        passed = "true" if r.passed else "false"
+        text = f'{head}{format_vector(r.sigma.window)}{mid}{r.expected_size}, "actual": {r.oracle_size}, "pass": {passed}'
+        return text + (f', "vectors": {list(map(list, r.vectors))}}}' if vectors else "}")
+
+    return to_json
 
 
 # -- identity verification --------------------------------------------------

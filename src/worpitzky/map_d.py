@@ -18,9 +18,10 @@ The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded here by
 one path, ``fiber_vectors``, from the chains of the type's descent set, and
 counted by one pass over the position codes of every vector, ``_images``.
 ``fiber_report`` checks the two against the size law for one sigma, and
-``fiber_reports`` for every sigma of the group in one pass: one count
-oracle and one table of the size law per group, then per sigma one read of
-its descent count and one count lookup; only nonempty fibers are decoded.
+``fiber_reports`` for every sigma of the group in one pass per permutation
+of 1..n: one count oracle and one table of the size law per group, keyed by
+(type-A descent pattern, sign mask), then per permutation one pattern read
+and per signed window one count lookup; only nonempty fibers are decoded.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -35,14 +36,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import product
-from operator import countOf, gt, itemgetter, mul
+from operator import countOf, itemgetter, mul
 from typing import Iterator
 
 from .bernoulli import power_sum, worpitzky_d_lhs
 from .exactnum import ONE_PLUS_Q, QPolynomial, binom
 from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
-from .signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
+from .signed_perm import SignedPermutation, _descent_table, _signed_windows
 from .sigma_vectors import (
     NO_CODE,
     Vector,
@@ -265,30 +266,35 @@ def fiber_reports(group: str, n: int, m: int) -> Iterator[FiberReport]:
     """The report of every sigma of B_n or D_n, in the order of
     enumerate_bn/enumerate_dn, by the rule of ``fiber_report``.
 
-    The arguments are checked, the count oracle ``fiber_counts`` built and
-    the size law tabulated once per group.  Each sigma then costs one read
-    of its descent count and one count lookup; only a sigma whose law is
-    nonzero reads its descent set and is decoded.  The windows of
-    enumerate_dn come from even sign masks, so no parity check is rerun.
+    The arguments are checked and the count oracle ``fiber_counts`` and a
+    table of the size law built once per group, keyed by the type-A descent
+    pattern of the absolute values and the sign mask (``_descent_table``).
+    Per permutation of 1..n its pattern then selects the laws of its
+    windows (``_signed_windows``), and each window costs one count lookup;
+    only a window whose law is nonzero reads its descent set and is decoded.
 
-    After the last report the oracle is dropped and one full collection
-    runs: freeing the oracle puts up to 2000 of its window tuples on the
-    interpreter's tuple free list, scattered over the heap, where they kept
-    about 3 MB resident after a D_6 pass at m=2.  A full collection clears
-    the free lists (about 2 ms on a 2-CPU Xeon with Python 3.11).
+    The tables are built before the first report, and after the last one
+    they and the oracle are dropped and one full collection runs: freeing
+    the oracle puts up to 2000 of its window tuples on the interpreter's
+    tuple free list, scattered over the heap, where they kept about 3 MB
+    resident after a D_6 pass at m=2.  A full collection clears the free
+    lists (about 2 ms on a 2-CPU Xeon with Python 3.11).
     """
     counts = fiber_counts(group, n, m)  # checks the type, n and m
     law = [binom(n + m - d, n) for d in range(n + 1)]
     count = counts.get
-    type_b = group == "B"
-    for sigma in enumerate_bn(n) if type_b else enumerate_dn(n):
-        w = sigma.window
-        # the type-A descents of w behind a lead entry x, where x > sigma_1
-        # is the zero descent: x = 0 in type B, x = -sigma_2 in type D
-        expected = law[sum(map(gt, (0 if type_b else -w[1],) + w, w))]
-        descents = sigma.descents(group) if expected else ()
-        yield _report(group, sigma, m, descents, expected, count(w, 0))
-    del counts, count
+    laws = {pattern: list(map(law.__getitem__, row)) for pattern, row in _descent_table(group, n).items()}
+    of, new = SignedPermutation._of, tuple.__new__
+    for pattern, windows in _signed_windows(n, group):
+        for w, expected in zip(windows, laws[pattern]):
+            if expected:
+                sigma = of(w)
+                yield _report(group, sigma, m, sigma.descents(group), expected, count(w, 0))
+            else:  # the zero-law rule of ``_report``, inlined; tuple.__new__
+                # skips the NamedTuple's Python-level __new__
+                actual = count(w, 0)
+                yield new(FiberReport, (group, of(w), m, 0, actual, (), not actual))
+    del counts, count, law, laws
     gc.collect()
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -338,7 +339,56 @@ def test_fibers_all_sigma_json_is_the_dumped_list_of_reports(capsys, group, n, v
         if not vectors:
             del d["vectors"]
         payload.append(d)
-    assert out == json.dumps(payload) + "\n"
+    # out == json.dumps(payload) + "\n", item by item: a failing == on the
+    # whole of B5's 1 MB makes pytest diff it for minutes; ", {" only ever
+    # separates two items
+    expected = [json.dumps(d) for d in payload]
+    items = out[1:-2].split(", {")
+    items[1:] = ["{" + item for item in items[1:]]
+    first = next((i for i, pair in enumerate(zip(items, expected)) if pair[0] != pair[1]), None)
+    assert first is None, f"the first differing report is at index {first}"
+    assert (out[:1], out[-2:], len(items)) == ("[", "]\n", len(expected))
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["plain", "vectors"])
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fibers_all_sigma_text_is_built_field_by_field(capsys, group, vectors):
+    for m in range(3):
+        argv = ["fibers", "--type", group, "--n", "4", "--m", str(m)] + (["--vectors"] if vectors else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = []
+        for r in fiber_reports(group, 4, m):
+            status = "ok" if r.passed else "MISMATCH"
+            sigma = ",".join(map(str, r.sigma.window))
+            lines.append(f"sigma={sigma} m={r.m} expected={r.expected_size} actual={r.oracle_size} {status}\n")
+            if vectors:
+                lines += ["  " + ",".join(map(str, v)) + "\n" for v in r.vectors]
+        assert out == "".join(lines)
+
+
+@pytest.mark.parametrize("sigma,letters", [("1", range(1001)), ("-1", range(-1000, 0))], ids=["plus", "minus"])
+def test_fibers_print_letters_outside_the_letter_table(capsys, sigma, letters):
+    argv = ["fibers", "--type", "B", "--n", "1", "--m", "1000", "--sigma", sigma]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    head, *shown = out.splitlines()
+    assert head == f"sigma={sigma} m=1000 expected={len(letters)} actual={len(letters)} ok"
+    assert sorted(shown, key=lambda line: int(line)) == [f"  {a}" for a in letters]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)["vectors"]) == [[a] for a in letters]
+
+
+def test_fibers_workload_output_matches_the_bench_goldens(capsys):
+    # the bytes of the benchmark's fibers commands, checked here as well
+    with open(Path(__file__).resolve().parents[1] / "bench" / "goldens.json", encoding="utf-8") as f:
+        goldens = {command: digest for command, digest in json.load(f).items() if command.startswith("fibers ")}
+    assert len(goldens) == 3
+    for command, digest in goldens.items():
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_fibers_exit_code_counts_every_report(capsys, monkeypatch):

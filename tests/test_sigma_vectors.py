@@ -157,6 +157,12 @@ def test_vector_text_round_trip():
     assert format_vector(v) == "1,-2,0,-1,3,-2"
 
 
+def test_format_vector_prints_letters_outside_its_table():
+    v = (-65, 64, -64, 65, 1000, -10**30, 0)
+    assert format_vector(v) == ",".join(map(str, v))
+    assert format_vector(()) == ""
+
+
 def test_parse_vector_errors():
     with pytest.raises(ValueError, match="position 2"):
         parse_vector("1,a,0")

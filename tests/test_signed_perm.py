@@ -1,6 +1,8 @@
 """Signed permutations: parsing, descent sets, sign statistics, enumeration."""
 
+import itertools
 import math
+from operator import gt
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 
 from worpitzky.signed_perm import (
     SignedPermutation,
+    _descent_table,
+    _elements,
+    _signed_windows,
     enumerate_bn,
     enumerate_dn,
 )
@@ -123,6 +128,29 @@ def test_dn_size(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_dn_keeps_the_order_of_bn(n):
     assert list(enumerate_dn(n)) == [s for s in enumerate_bn(n) if s.is_in_dn()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_signed_windows_keep_the_permutation_then_sign_mask_order(n):
+    # the order of the per-sigma enumeration: each permutation under each
+    # sign mask in increasing order, where bit i negates entry i
+    perms = list(itertools.permutations(range(1, n + 1)))
+    signed = [tuple(-x if mask >> i & 1 else x for i, x in enumerate(p)) for p in perms for mask in range(1 << n)]
+    assert [sigma.window for sigma in enumerate_bn(n)] == signed
+    if n >= 2:
+        even = [w for w in signed if sum(x < 0 for x in w) % 2 == 0]
+        assert [sigma.window for sigma in enumerate_dn(n)] == even
+    assert [sigma.window for sigma in _elements(n, "A")] == perms
+    assert [pattern for pattern, _ in _signed_windows(n, "B")] == [tuple(map(gt, p, p[1:])) for p in perms]
+
+
+@pytest.mark.parametrize("group,n", [("B", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)])
+def test_descent_table_equals_des_on_every_element(group, n):
+    # one row per type-A descent pattern, read by every permutation with it
+    table = _descent_table(group, n)
+    assert len(table) == 2 ** (n - 1)
+    for pattern, windows in _signed_windows(n, group):
+        assert table[pattern] == [SignedPermutation(w).des(group) for w in windows], pattern
 
 
 def test_enumeration_is_deterministic():
