@@ -20,6 +20,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
+from operator import attrgetter
 
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
@@ -46,10 +47,10 @@ IDENTITIES = {
 }
 
 # Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11.7 (a
-# host whose speed varied by up to 2x; these runs were at its fast end): a
-# --sigma report counts about 1.2 M vectors/s (5^8 vectors: 0.31 s) and
-# all-sigma reports run at about 4.5 x 10^5/s (B_7 at m=1: 1.42-1.45 s; at
-# m=2 with JSON vectors, the largest admitted, 2.47-2.51 s; B_8 would be 16
+# host whose speed varied by up to 2x; these runs were at its slow end): a
+# --sigma report counts about 0.55 M vectors/s (5^8 vectors: 0.64-0.73 s) and
+# all-sigma reports run at about 3.3-4.6 x 10^5/s (B_7 at m=1: 1.4-2.0 s; at
+# m=2 with JSON vectors, the largest admitted, 2.8-3.9 s; B_8 would be 16
 # times B_7).
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
@@ -191,14 +192,15 @@ def cmd_eulerian(args) -> int:
     return 0
 
 
-def _write_reports(reports, show, sep: str = "", head: str = "", tail=lambda ok: "") -> int:
+def _write_reports(reports, show, sep: str = "", head: str = "", tail=lambda ok: "", passed=attrgetter("passed")) -> int:
     """Write ``head``, each ``show(report)`` as soon as the report is built,
-    joined by ``sep``, then ``tail(ok)``; ok: every report passed."""
+    joined by ``sep``, then ``tail(ok)``; ok: ``passed`` holds for every
+    report."""
     write = sys.stdout.write
     write(head)
     ok, lead = True, ""
     for r in reports:
-        ok = ok and r.passed
+        ok = ok and passed(r)
         write(lead + show(r))
         lead = sep
     write(tail(ok))
@@ -239,28 +241,49 @@ def cmd_map(args) -> int:
     return 0
 
 
-def cmd_fibers(args) -> int:
-    if args.sigma is not None:
-        sigma = SignedPermutation.parse(args.sigma)
-        if sigma.n != args.n:
-            raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
-        reports = [map_d.fiber_report(args.type, sigma, args.m)]
-    else:
-        reports = map_d.fiber_reports(args.type, args.n, args.m)
-    show_vectors = args.vectors or args.sigma is not None
-    mid = f" m={args.m} expected="  # the fields that are the same in every line
+def _fiber_writer(fmt: str, group: str, m: int, vectors: bool):
+    """The one writer of a fibers report in ``fmt``: a text line, with the
+    vectors under it if ``vectors``, or ``map_b.fiber_json_writer``."""
+    if fmt == "json":
+        return map_b.fiber_json_writer(group, m, vectors)
+    mid = f" m={m} expected="  # the fields that are the same in every line
 
     def text(r) -> str:
         status = "ok" if r.passed else "MISMATCH"
         line = f"sigma={format_vector(r.sigma.window)}{mid}{r.expected_size} actual={r.oracle_size} {status}\n"
-        return line + "".join(f"  {format_vector(v)}\n" for v in r.vectors) if show_vectors else line
-    if args.format == "text":
-        return _write_reports(reports, text)
-    to_json = map_b.fiber_json_writer(args.type, args.m, show_vectors)
+        return line + "".join(f"  {format_vector(v)}\n" for v in r.vectors) if vectors else line
+    return text
+
+
+def _law0_template(show, group: str, m: int) -> tuple[str, str]:
+    """What ``show`` writes for a passing law-0 report before and after
+    sigma's formatted window: one such report rendered with a NUL for its
+    window (format_vector writes a string letter as itself), split there."""
+    mark = "\0"
+    parts = show(map_b.FiberReport(group, SignedPermutation._of((mark,)), m, 0, 0, (), True)).split(mark)
+    if len(parts) != 2:
+        raise RuntimeError(f"the law-0 template splits into {len(parts)} parts at its marker, not 2")
+    return parts[0], parts[1]
+
+
+def cmd_fibers(args) -> int:
+    show = _fiber_writer(args.format, args.type, args.m, args.vectors or args.sigma is not None)
     if args.sigma is not None:
-        return _write_reports(reports, lambda r: to_json(r) + "\n")
-    # all-sigma JSON is one list, written an item at a time as json.dumps would
-    return _write_reports(reports, to_json, ", ", "[", lambda ok: "]\n")
+        sigma = SignedPermutation.parse(args.sigma)
+        if sigma.n != args.n:
+            raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
+        newline = "\n" if args.format == "json" else ""  # a text report ends in one
+        return _write_reports([map_d.fiber_report(args.type, sigma, args.m)], show, tail=lambda ok: newline)
+    # all-sigma: one write per permutation of 1..n, a bare window written
+    # from the law-0 template; JSON is one list, written as json.dumps would
+    sep, head, tail = (", ", "[", lambda ok: "]\n") if args.format == "json" else ("", "", lambda ok: "")
+    lo, hi = _law0_template(show, args.type, args.m)
+
+    def block_text(block) -> str:
+        return sep.join([f"{lo}{format_vector(r)}{hi}" if type(r) is tuple else show(r) for r in block])
+
+    blocks = map_d.fiber_blocks(args.type, args.n, args.m)
+    return _write_reports(blocks, block_text, sep, head, tail, lambda b: all(type(r) is tuple or r.passed for r in b))
 
 
 def cmd_missing(args) -> int:

@@ -17,11 +17,14 @@ breaking the descent condition are "missing" and fall into four classes:
 The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded here by
 one path, ``fiber_vectors``, from the chains of the type's descent set, and
 counted by one pass over the position codes of every vector, ``_images``.
-``fiber_report`` checks the two against the size law for one sigma, and
-``fiber_reports`` for every sigma of the group in one pass per permutation
-of 1..n: one count oracle and one table of the size law per group, keyed by
-(type-A descent pattern, sign mask), then per permutation one pattern read
-and per signed window one count lookup; only nonempty fibers are decoded.
+``fiber_report`` checks the two against the size law for one sigma, each
+decoded vector validated by a phi or psi call.  ``fiber_blocks`` checks every
+sigma of the group, one block per permutation of 1..n, from one count
+oracle, one image table (each vector's window by its base-(2m+1) rank) and
+one table of the size law per group, keyed by (type-A descent pattern, sign
+mask): per signed window one count lookup, a window whose law and count are
+0 left bare, and only nonempty fibers decoded, each vector checked by one
+rank sum and one table lookup.  ``fiber_reports`` flattens the blocks.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -35,8 +38,8 @@ import gc
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
-from operator import countOf, itemgetter, mul
+from itertools import compress, product, repeat
+from operator import countOf, itemgetter, mul, or_
 from typing import Iterator
 
 from .bernoulli import power_sum, worpitzky_d_lhs
@@ -153,27 +156,35 @@ def fiber_size(group: str, sigma: SignedPermutation, m: int) -> int:
     return _fiber_law(group, sigma, m)[1]
 
 
-def _decode(group: str, sigma: SignedPermutation, m: int, descents: tuple[int, ...]) -> list[Vector]:
-    """The vectors of the chains of sigma's descents, each validated by a
-    forward map call; a mismatch is a hard failure, never a silent skip."""
+def _decode(image, sigma: SignedPermutation, m: int, descents: tuple[int, ...]) -> list[Vector]:
+    """The vectors of the chains of sigma's descents, each checked to lie in
+    the space (every entry in -m..m) and validated by ``image``, the window
+    the type's forward map sends it to; a failure is an ArithmeticError,
+    never a silent skip."""
     window = sigma.window
     n = len(window)
     # chain position i holds |a_{|sigma_i|}|: list, per entry of the vector,
     # its chain position and the sign of sigma there
-    place = sorted(range(n), key=lambda i: abs(window[i]))
+    place = sorted(range(n), key=list(map(abs, window)).__getitem__)
     signs = [-1 if window[i] < 0 else 1 for i in place]
     # itemgetter of a single index returns the item, not a 1-tuple
     pick = itemgetter(*place) if n > 1 else tuple
     out = []
     for abs_vals in decode_abs_chains(descents, n, m):
         v = tuple(map(mul, signs, pick(abs_vals)))
-        image = phi(v) if group == "B" else psi(v).sigma
-        if image != sigma:
-            raise ArithmeticError(
-                f"decoded vector {v} does not map back to {sigma} (got {image})"
-            )
+        if max(map(abs, v)) > m:
+            raise ArithmeticError(f"decoded vector {v} of {sigma} has an entry outside -{m}..{m}")
+        got = image(v)
+        if got != window:
+            raise ArithmeticError(f"decoded vector {v} does not map back to {sigma} (got {got})")
         out.append(v)
     return out
+
+
+def _forward_window(group: str, v: Vector) -> tuple[int, ...] | None:
+    """The window phi (type B) or psi (type D) sends v to, or None."""
+    sigma = phi(v) if group == "B" else psi(v).sigma
+    return sigma and sigma.window
 
 
 def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
@@ -185,7 +196,7 @@ def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
     flip reads as negative).  Every decoded vector is validated by a
     forward map call.
     """
-    return _decode(group, sigma, m, _fiber_law(group, sigma, m)[0])
+    return _decode(partial(_forward_window, group), sigma, m, _fiber_law(group, sigma, m)[0])
 
 
 def psi_fibers(n: int, m: int):
@@ -231,71 +242,90 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
             yield (-window[0],) + window[1:] if odd and low[0] < w * w else window
 
 
-def fiber_counts(group: str, n: int, m: int) -> Counter[tuple[int, ...]]:
+def fiber_counts(group: str, n: int, m: int, table: list | None = None) -> Counter[tuple[int, ...]]:
     """Count oracle: the size of every nonempty fiber of the type's forward
-    map, keyed by window, from one pass of ``_images`` less its Nones."""
-    return Counter(filter(None, _images(group, n, m)))
+    map, keyed by window, from one pass of ``_images`` less its Nones.  A
+    list ``table`` gets every image too, interned through the oracle's keys
+    (each maps to itself until the pass ends)."""
+    if table is None:
+        return Counter(filter(None, _images(group, n, m)))
+    counts = Counter()
+    table.extend(w and counts.setdefault(w, w) for w in _images(group, n, m))
+    for w in counts:
+        counts[w] = 0
+    counts.update(filter(None, table))
+    return counts
 
 
 def _report(
-    group: str, sigma: SignedPermutation, m: int, descents: tuple[int, ...], expected: int, actual: int
+    group: str, sigma: SignedPermutation, m: int, descents: tuple[int, ...], expected: int, actual: int, image
 ) -> FiberReport:
     """The report rule of both routes: decode the chains of the descents,
-    each vector validated through the type's forward map, and pass when the
-    decoded vectors are distinct and expected == actual == len(decoded);
-    with the validation this makes the decoded vectors exactly the fiber.
-    No chain exists when the law gives 0, so the descents are not read,
-    nothing is decoded, and the report passes iff the count is 0 too."""
+    each vector validated through ``image``, and pass when the decoded
+    vectors are distinct and expected == actual == len(decoded); with the
+    validation this makes the decoded vectors exactly the fiber.  No chain
+    exists when the law gives 0, so the descents are not read, nothing is
+    decoded, and the report passes iff the count is 0 too."""
     if not expected:
         return FiberReport(group, sigma, m, 0, actual, (), not actual)
-    decoded = _decode(group, sigma, m, descents)
+    decoded = _decode(image, sigma, m, descents)
     passed = expected == actual == len(decoded) == len(set(decoded))
     return FiberReport(group, sigma, m, expected, actual, tuple(decoded), passed)
 
 
 def fiber_report(group: str, sigma: SignedPermutation, m: int) -> FiberReport:
     """Check the fiber of sigma three ways, from one read of its descents:
-    the size law C(n + m - des(sigma), n), the decoded chain vectors, and
-    the forward-map count, sigma's window counted as ``_images`` streams by
-    (O(fiber) memory)."""
+    the size law C(n + m - des(sigma), n), the decoded chain vectors, each
+    validated by a phi or psi call, and the forward-map count, sigma's
+    window counted as ``_images`` streams by (O(fiber) memory)."""
     descents, expected = _fiber_law(group, sigma, m)
-    return _report(group, sigma, m, descents, expected, countOf(_images(group, sigma.n, m), sigma.window))
+    actual = countOf(_images(group, sigma.n, m), sigma.window)
+    return _report(group, sigma, m, descents, expected, actual, partial(_forward_window, group))
+
+
+def fiber_blocks(group: str, n: int, m: int) -> Iterator[list]:
+    """The reports of every sigma of B_n or D_n by the rule of
+    ``fiber_report``, one list per permutation of 1..n in the order of
+    ``_signed_windows``, where a passing law-0 window (law and count 0)
+    stays a bare window.
+
+    The count oracle with its image table and the size-law table of
+    ``_descent_table`` are built once per group, checking the type, n and
+    m; a window costs one count lookup, only a window with a nonzero law or
+    count gets a report, and a decoded vector costs one rank sum and one
+    table lookup.  After the last block the tables and the oracle are
+    dropped and one full collection runs: freeing the oracle puts up to
+    2000 of its window tuples on the interpreter's tuple free list,
+    scattered over the heap, where they kept about 3 MB resident after a
+    D_6 pass at m=2.  A full collection clears the free lists (about 2 ms
+    on a 2-CPU Xeon with Python 3.11).
+    """
+    table: list = []
+    counts = fiber_counts(group, n, m, table)
+    weights = [(2 * m + 1) ** k for k in reversed(range(n))]
+    base = m * sum(weights)
+    image = lambda v: table[sum(map(mul, v, weights), base)]  # noqa: E731
+    law = [binom(n + m - d, n) for d in range(n + 1)]
+    laws = {pattern: list(map(law.__getitem__, row)) for pattern, row in _descent_table(group, n).items()}
+    of, zeros = SignedPermutation._of, repeat(0)
+    for pattern, windows in _signed_windows(n, group):
+        block, expected = list(windows), laws[pattern]
+        actual = list(map(counts.get, block, zeros))
+        for i in compress(range(len(block)), map(or_, expected, actual)):
+            sigma = of(block[i])
+            block[i] = _report(group, sigma, m, sigma.descents(group), expected[i], actual[i], image)
+        yield block
+    del table, counts, image, law, laws
+    gc.collect()
 
 
 def fiber_reports(group: str, n: int, m: int) -> Iterator[FiberReport]:
     """The report of every sigma of B_n or D_n, in the order of
-    enumerate_bn/enumerate_dn, by the rule of ``fiber_report``.
-
-    The arguments are checked and the count oracle ``fiber_counts`` and a
-    table of the size law built once per group, keyed by the type-A descent
-    pattern of the absolute values and the sign mask (``_descent_table``).
-    Per permutation of 1..n its pattern then selects the laws of its
-    windows (``_signed_windows``), and each window costs one count lookup;
-    only a window whose law is nonzero reads its descent set and is decoded.
-
-    The tables are built before the first report, and after the last one
-    they and the oracle are dropped and one full collection runs: freeing
-    the oracle puts up to 2000 of its window tuples on the interpreter's
-    tuple free list, scattered over the heap, where they kept about 3 MB
-    resident after a D_6 pass at m=2.  A full collection clears the free
-    lists (about 2 ms on a 2-CPU Xeon with Python 3.11).
-    """
-    counts = fiber_counts(group, n, m)  # checks the type, n and m
-    law = [binom(n + m - d, n) for d in range(n + 1)]
-    count = counts.get
-    laws = {pattern: list(map(law.__getitem__, row)) for pattern, row in _descent_table(group, n).items()}
-    of, new = SignedPermutation._of, tuple.__new__
-    for pattern, windows in _signed_windows(n, group):
-        for w, expected in zip(windows, laws[pattern]):
-            if expected:
-                sigma = of(w)
-                yield _report(group, sigma, m, sigma.descents(group), expected, count(w, 0))
-            else:  # the zero-law rule of ``_report``, inlined; tuple.__new__
-                # skips the NamedTuple's Python-level __new__
-                actual = count(w, 0)
-                yield new(FiberReport, (group, of(w), m, 0, actual, (), not actual))
-    del counts, count, law, laws
-    gc.collect()
+    enumerate_bn/enumerate_dn: ``fiber_blocks`` flattened, a bare window
+    read as its passing law-0 report."""
+    for block in fiber_blocks(group, n, m):
+        for r in block:
+            yield FiberReport(group, SignedPermutation._of(r), m, 0, 0, (), True) if type(r) is tuple else r
 
 
 # -- missing-vector census ----------------------------------------------------

@@ -393,14 +393,17 @@ def test_fibers_workload_output_matches_the_bench_goldens(capsys):
 
 def test_fibers_exit_code_counts_every_report(capsys, monkeypatch):
     # one failing report in the middle of the stream fails the run, and the
-    # reports after it are still printed
-    real = map_d.fiber_reports
+    # reports after it are still printed; the second item of B_2's first
+    # block, -1,2, has the nonzero law C(2 + 1 - 1, 2) = 1 at m = 1
+    real = map_d.fiber_blocks
 
     def fail_the_second(*args):
-        for i, report in enumerate(real(*args)):
-            yield report._replace(passed=False) if i == 1 else report
+        for i, block in enumerate(real(*args)):
+            if i == 0:
+                block[1] = block[1]._replace(passed=False)
+            yield block
 
-    monkeypatch.setattr(map_d, "fiber_reports", fail_the_second)
+    monkeypatch.setattr(map_d, "fiber_blocks", fail_the_second)
     code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1", "--format", "json")
     assert code == 1
     assert [d["pass"] for d in json.loads(out)] == [True, False] + [True] * 6
@@ -421,6 +424,64 @@ def test_fibers_exit_code_counts_a_failed_empty_law(capsys, monkeypatch, group):
     assert code == 1
     failed = [d for d in json.loads(out) if not d["pass"]]
     assert failed == [{"type": group, "sigma": "-1,-2", "m": 1, "expected": 0, "actual": 1, "pass": False}]
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["plain", "vectors"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fibers_law_zero_template_is_the_writer_output(group, fmt, vectors):
+    for m in range(3):
+        show = cli._fiber_writer(fmt, group, m, vectors)
+        lo, hi = cli._law0_template(show, group, m)
+        law_zero = 0
+        for n in range(1 if group == "B" else 2, 5):
+            for r in fiber_reports(group, n, m):
+                if r.expected_size == 0 and r.passed:
+                    law_zero += 1
+                    assert lo + r.sigma.format() + hi == show(r)
+        assert law_zero > 0
+
+
+def test_fibers_law_zero_template_needs_exactly_one_marker():
+    with pytest.raises(RuntimeError, match="into 1 parts"):
+        cli._law0_template(lambda r: "no sigma", "B", 1)
+    with pytest.raises(RuntimeError, match="into 3 parts"):
+        cli._law0_template(lambda r: r.sigma.format() * 2, "B", 1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fibers_a_failed_law_zero_window_is_written_in_full(capsys, monkeypatch, group, fmt):
+    # both windows have the law C(3 + 1 - 2, 3) = 0 at m = 1: -1,-2,3 sits in
+    # the middle of the first block, -3,2,-1 in the last block; one vector
+    # more is counted on each
+    failing = [(-1, -2, 3), (-3, 2, -1)]
+    real = map_d.fiber_counts
+
+    def one_more(*args):
+        counts = real(*args)
+        for w in failing:
+            counts[w] += 1
+        return counts
+
+    argv = ["fibers", "--type", group, "--n", "3", "--m", "1", "--format", fmt]
+    blocks = list(map_d.fiber_blocks(group, 3, 1))
+    assert failing[0] in blocks[0][1:-1] and failing[1] in blocks[-1]
+    monkeypatch.setattr(map_d, "fiber_counts", one_more)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    show = cli._fiber_writer(fmt, group, 1, False)
+    reports = list(fiber_reports(group, 3, 1))
+    assert [r.sigma.window for r in reports if not r.passed] == failing
+    if fmt == "json":
+        assert out == "[" + ", ".join(map(show, reports)) + "]\n"
+        assert [d["sigma"] for d in json.loads(out) if not d["pass"]] == ["-1,-2,3", "-3,2,-1"]
+    else:
+        assert out == "".join(map(show, reports))
+        assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+            "sigma=-1,-2,3 m=1 expected=0 actual=1 MISMATCH",
+            "sigma=-3,2,-1 m=1 expected=0 actual=1 MISMATCH",
+        ]
 
 
 @pytest.mark.parametrize(
@@ -455,6 +516,7 @@ def test_fibers_refuses_work_past_its_bounds_before_any_report(capsys, monkeypat
 
     monkeypatch.setattr(map_d, "fiber_report", no_work)
     monkeypatch.setattr(map_d, "fiber_reports", no_work)
+    monkeypatch.setattr(map_d, "fiber_blocks", no_work)
     monkeypatch.setattr(map_d, "fiber_counts", no_work)
     code, out, err = run(capsys, "fibers", *argv.split())
     assert code == 2 and out == ""

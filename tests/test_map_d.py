@@ -2,6 +2,7 @@
 
 import ast
 import json
+from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -300,6 +301,62 @@ def test_fiber_vectors_rejects_a_chain_that_does_not_map_back(monkeypatch, group
     monkeypatch.setattr(map_d, "decode_abs_chains", lambda des_set, n, m: iter([(1, 0)]))
     with pytest.raises(ArithmeticError, match="does not map back"):
         fiber_vectors(group, SignedPermutation((1, 2)), 1)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_image_table_is_the_forward_map_of_each_vector_by_rank(group):
+    # the table the all-sigma pass checks its decoded vectors against
+    for n in range(1 if group == "B" else 2, 6):
+        for m in range(3):
+            table = []
+            counts = fiber_counts(group, n, m, table)
+            assert counts == fiber_counts(group, n, m)
+            assert len(table) == (2 * m + 1) ** n
+            for rank, v in enumerate(enumerate_vectors(n, m)):
+                assert rank == sum((a + m) * (2 * m + 1) ** (n - 1 - i) for i, a in enumerate(v))
+                sigma = phi(v) if group == "B" else psi(v).sigma
+                assert table[rank] == (sigma and sigma.window), v
+            # every window is interned through the oracle's keys
+            assert {id(w) for w in table if w} == {id(w) for w in counts}
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_reports_reject_a_chain_that_does_not_map_back(monkeypatch, group):
+    # the image-table counterpart of the forward-map test above
+    monkeypatch.setattr(map_d, "decode_abs_chains", lambda des_set, n, m: iter([(1, 0)]))
+    with pytest.raises(ArithmeticError, match="does not map back"):
+        list(fiber_reports(group, 2, 1))
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_a_decoded_entry_outside_the_letters_is_refused_not_aliased(monkeypatch, group):
+    # the fiber of 1,2 at m = 1 is (0,0), (0,1), (1,1); (1,-2) has the
+    # base-3 rank of (0,1), whose image is 1,2, so only the range check
+    # can refuse the decoder that yields it in place of (0,1)
+    chains = map_d.decode_abs_chains
+
+    def alias_for_01(descents, n, m):
+        return iter([(0, 0), (1, -2), (1, 1)]) if descents == () else chains(descents, n, m)
+
+    monkeypatch.setattr(map_d, "decode_abs_chains", alias_for_01)
+    with pytest.raises(ArithmeticError, match=r"\(1, -2\) of 1,2 has an entry outside -1..1"):
+        list(fiber_reports(group, 2, 1))
+    with pytest.raises(ArithmeticError, match="outside -1..1"):
+        fiber_vectors(group, SignedPermutation((1, 2)), 1)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_blocks_keep_exactly_the_passing_law_zero_windows_bare(group):
+    for n in range(1 if group == "B" else 2, 5):
+        for m in range(3):
+            blocks = list(map_d.fiber_blocks(group, n, m))
+            assert len(blocks) == factorial(n)
+            flat = [r for block in blocks for r in block]
+            for item, report in zip(flat, fiber_reports(group, n, m), strict=True):
+                if type(item) is tuple:
+                    assert (item, report.expected_size, report.oracle_size, report.passed) == (report.sigma.window, 0, 0, True)
+                else:
+                    assert item == report and (item.expected_size or item.oracle_size)
 
 
 @pytest.mark.parametrize("group", ["B", "D"])
