@@ -6,9 +6,11 @@ reports), ``missing`` (missing-vector census), ``oeis-check`` (b-file
 cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 
 Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
-also write CSV.  --jobs, else the WORPITZKY_JOBS environment variable, sets
-the worker count of the big vector sweeps (at most one per shard and CPU);
-results do not depend on it.
+also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, a bare
+law-0 window of ``map_d.fiber_blocks`` as its output for (0, 0, pass).
+--jobs, else the WORPITZKY_JOBS environment variable, sets the worker count
+of the big vector sweeps (at most one per shard and CPU); results do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -241,49 +243,28 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _fiber_writer(fmt: str, group: str, m: int, vectors: bool):
-    """The one writer of a fibers report in ``fmt``: a text line, with the
-    vectors under it if ``vectors``, or ``map_b.fiber_json_writer``."""
-    if fmt == "json":
-        return map_b.fiber_json_writer(group, m, vectors)
-    mid = f" m={m} expected="  # the fields that are the same in every line
-
-    def text(r) -> str:
-        status = "ok" if r.passed else "MISMATCH"
-        line = f"sigma={format_vector(r.sigma.window)}{mid}{r.expected_size} actual={r.oracle_size} {status}\n"
-        return line + "".join(f"  {format_vector(v)}\n" for v in r.vectors) if vectors else line
-    return text
-
-
-def _law0_template(show, group: str, m: int) -> tuple[str, str]:
-    """What ``show`` writes for a passing law-0 report before and after
-    sigma's formatted window: one such report rendered with a NUL for its
-    window (format_vector writes a string letter as itself), split there."""
-    mark = "\0"
-    parts = show(map_b.FiberReport(group, SignedPermutation._of((mark,)), m, 0, 0, (), True)).split(mark)
-    if len(parts) != 2:
-        raise RuntimeError(f"the law-0 template splits into {len(parts)} parts at its marker, not 2")
-    return parts[0], parts[1]
-
-
 def cmd_fibers(args) -> int:
-    show = _fiber_writer(args.format, args.type, args.m, args.vectors or args.sigma is not None)
+    head, rest = map_b.fiber_writer(args.format, args.type, args.m, args.vectors or args.sigma is not None)
+
+    def show(r) -> str:
+        return head + format_vector(r.sigma.window) + rest(r.expected_size, r.oracle_size, r.passed, r.vectors)
+
     if args.sigma is not None:
         sigma = SignedPermutation.parse(args.sigma)
         if sigma.n != args.n:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
         newline = "\n" if args.format == "json" else ""  # a text report ends in one
         return _write_reports([map_d.fiber_report(args.type, sigma, args.m)], show, tail=lambda ok: newline)
-    # all-sigma: one write per permutation of 1..n, a bare window written
-    # from the law-0 template; JSON is one list, written as json.dumps would
-    sep, head, tail = (", ", "[", lambda ok: "]\n") if args.format == "json" else ("", "", lambda ok: "")
-    lo, hi = _law0_template(show, args.type, args.m)
+    # all-sigma: one write per permutation of 1..n, a bare window written as
+    # the writer's passing law-0 report; JSON is one list, as json.dumps writes it
+    sep, bracket, tail = (", ", "[", lambda ok: "]\n") if args.format == "json" else ("", "", lambda ok: "")
+    law0 = rest(0, 0, True, ())
 
     def block_text(block) -> str:
-        return sep.join([f"{lo}{format_vector(r)}{hi}" if type(r) is tuple else show(r) for r in block])
+        return sep.join([f"{head}{format_vector(r)}{law0}" if type(r) is tuple else show(r) for r in block])
 
     blocks = map_d.fiber_blocks(args.type, args.n, args.m)
-    return _write_reports(blocks, block_text, sep, head, tail, lambda b: all(type(r) is tuple or r.passed for r in b))
+    return _write_reports(blocks, block_text, sep, bracket, tail, lambda b: all(type(r) is tuple or r.passed for r in b))
 
 
 def cmd_missing(args) -> int:

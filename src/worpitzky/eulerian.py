@@ -22,7 +22,8 @@ from functools import lru_cache
 from operator import add, methodcaller, sub
 
 from .exactnum import QPolynomial
-from .signed_perm import SignedPermutation, _elements, enumerate_bn, enumerate_dn
+# enumerate_bn/enumerate_dn stay importable from here: bench/test_bench.py reads eulerian.enumerate_dn
+from .signed_perm import SignedPermutation, _elements, enumerate_bn, enumerate_dn  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,7 @@ def enumerated_row(group: str, n: int) -> EulerianRow:
     """The type-``group`` row by enumerating the whole group: the oracle
     the transfer DP is tested against."""
     _check_n(group, n)
-    if group == "A":
-        elements = _elements(n, "A")
-    else:
-        elements = enumerate_bn(n) if group == "B" else enumerate_dn(n)
+    elements = _elements(n, group)
     weight = SignedPermutation.neg2 if group == "D" else SignedPermutation.neg
     # type A has no position 0, so its row ends at k = n - 1
     k_max = n - 1 if group == "A" else n

@@ -10,10 +10,7 @@ formal variable q with integer coefficients, kept in canonical form
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable
 
 
 def binom(a: int, b: int) -> int:
@@ -147,13 +144,6 @@ class QPolynomial:
         return result
 
     # -- evaluation ---------------------------------------------------
-
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Evaluate at an integer or exact rational point (Horner)."""
-        acc: Scalar = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     def at_q1(self) -> int:
         """Value at q=1, i.e. the sum of the coefficients."""

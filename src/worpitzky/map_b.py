@@ -20,6 +20,11 @@ checks the public ``SignedPermutation`` constructor runs on outside input.
 ``phi_fibers`` groups the whole vector space by ``phi``: the brute vector
 oracle the tests compare the decoder against.  ``map_d.fiber_counts`` is the
 cross-checked count route that all-sigma fiber reports read.
+
+``fiber_writer`` is the one writer of a ``FiberReport``, in text and in JSON:
+the text before sigma's window, and a function of the fields after it.  The
+line of a passing law-0 sigma is its output for (0, 0, pass) around the
+window.
 """
 
 from __future__ import annotations
@@ -143,24 +148,36 @@ class FiberReport(NamedTuple):
 
     def to_json(self, vectors: bool) -> str:
         """``json.dumps(self.to_json_dict())``, less "vectors" unless
-        ``vectors``; see ``fiber_json_writer``."""
-        return fiber_json_writer(self.group, self.m, vectors)(self)
+        ``vectors``: the output of ``fiber_writer``."""
+        head, rest = fiber_writer("json", self.group, self.m, vectors)
+        return head + format_vector(self.sigma.window) + rest(self.expected_size, self.oracle_size, self.passed, self.vectors)
 
 
-def fiber_json_writer(group: str, m: int, vectors: bool) -> Callable[[FiberReport], str]:
-    """``FiberReport.to_json`` for the reports of one type and m, written
-    directly in the report's fixed shape with those two fields formatted
-    once: the type letter and sigma's digits, commas and minus signs need
-    no escaping, and a list of int lists prints as JSON does."""
-    head = '{"type": "%s", "sigma": "' % group
-    mid = '", "m": %d, "expected": ' % m
+def fiber_writer(fmt: str, group: str, m: int, vectors: bool) -> tuple[str, Callable[[int, int, bool, Sequence[Vector]], str]]:
+    """The one writer of the fiber reports of one type and m in ``fmt``, as
+    the text before sigma's window and a function ``rest`` of the fields
+    after it: a report is ``head + format_vector(window) + rest(expected,
+    actual, passed, vectors)``, so a passing law-0 report is the window
+    between ``head`` and ``rest(0, 0, True, ())``.
 
-    def to_json(r: FiberReport) -> str:
-        passed = "true" if r.passed else "false"
-        text = f'{head}{format_vector(r.sigma.window)}{mid}{r.expected_size}, "actual": {r.oracle_size}, "pass": {passed}'
-        return text + (f', "vectors": {list(map(list, r.vectors))}}}' if vectors else "}")
+    "text" is one line, with the vectors under it if ``vectors``.  "json"
+    is ``json.dumps`` of ``FiberReport.to_json_dict``, less "vectors"
+    unless ``vectors``, written directly in the report's fixed shape: the
+    type letter and sigma's digits, commas and minus signs need no
+    escaping, and a list of int lists prints as JSON does."""
+    if fmt == "json":
+        head, mid = '{"type": "%s", "sigma": "' % group, '", "m": %d, "expected": ' % m
 
-    return to_json
+        def rest(expected: int, actual: int, passed: bool, vecs: Sequence[Vector]) -> str:
+            text = f'{mid}{expected}, "actual": {actual}, "pass": {"true" if passed else "false"}'
+            return text + (f', "vectors": {list(map(list, vecs))}}}' if vectors else "}")
+    else:
+        head, mid = "sigma=", f" m={m} expected="
+
+        def rest(expected: int, actual: int, passed: bool, vecs: Sequence[Vector]) -> str:
+            line = f"{mid}{expected} actual={actual} {'ok' if passed else 'MISMATCH'}\n"
+            return line + "".join(f"  {format_vector(v)}\n" for v in vecs) if vectors else line
+    return head, rest
 
 
 # -- identity verification --------------------------------------------------

@@ -287,7 +287,8 @@ def fiber_blocks(group: str, n: int, m: int) -> Iterator[list]:
     """The reports of every sigma of B_n or D_n by the rule of
     ``fiber_report``, one list per permutation of 1..n in the order of
     ``_signed_windows``, where a passing law-0 window (law and count 0)
-    stays a bare window.
+    stays a bare window: its report is (0, 0, pass) with no vectors, which
+    ``map_b.fiber_writer`` writes around the window.
 
     The count oracle with its image table and the size-law table of
     ``_descent_table`` are built once per group, checking the type, n and
@@ -531,10 +532,8 @@ def verify_worpitzky_d_q1(n: int, m: int) -> IdentityReport:
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
     lhs = worpitzky_d_lhs(n, m)
-    rhs_poly, terms = associated_weight_sum(n, m)
-    rhs = rhs_poly.at_q1()
-    terms_q1 = tuple((k, c, e.at_q1(), p.at_q1()) for k, c, e, p in terms)
-    return IdentityReport("worpitzky-d", n, m, lhs, rhs, lhs == rhs, terms=terms_q1)
+    rhs, terms = rhs_eulerian_sum(eulerian_row_d_q(n).at_q1(), n, m)
+    return IdentityReport("worpitzky-d", n, m, lhs, rhs, lhs == rhs, terms=terms)
 
 
 def verify_balance_d_q(n: int, m: int, jobs: int = 1) -> IdentityReport:

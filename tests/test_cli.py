@@ -426,27 +426,34 @@ def test_fibers_exit_code_counts_a_failed_empty_law(capsys, monkeypatch, group):
     assert failed == [{"type": group, "sigma": "-1,-2", "m": 1, "expected": 0, "actual": 1, "pass": False}]
 
 
+def fiber_show(fmt, group, m, vectors):
+    """A report as ``map_b.fiber_writer`` writes it, every field from the report."""
+    head, rest = map_b.fiber_writer(fmt, group, m, vectors)
+    return lambda r: head + r.sigma.format() + rest(r.expected_size, r.oracle_size, r.passed, r.vectors)
+
+
 @pytest.mark.parametrize("vectors", [False, True], ids=["plain", "vectors"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("group", ["B", "D"])
-def test_fibers_law_zero_template_is_the_writer_output(group, fmt, vectors):
+def test_fibers_law_zero_template_is_the_writer_output(capsys, group, fmt, vectors):
     for m in range(3):
-        show = cli._fiber_writer(fmt, group, m, vectors)
-        lo, hi = cli._law0_template(show, group, m)
+        show = fiber_show(fmt, group, m, vectors)
+        lo, rest = map_b.fiber_writer(fmt, group, m, vectors)
+        hi = rest(0, 0, True, ())
         law_zero = 0
         for n in range(1 if group == "B" else 2, 5):
-            for r in fiber_reports(group, n, m):
+            reports = list(fiber_reports(group, n, m))
+            for r in reports:
                 if r.expected_size == 0 and r.passed:
                     law_zero += 1
                     assert lo + r.sigma.format() + hi == show(r)
+            # the all-sigma command writes its bare law-0 windows as the same lines
+            argv = ["fibers", "--type", group, "--n", str(n), "--m", str(m), "--format", fmt]
+            code, out, _ = run(capsys, *argv, *(["--vectors"] if vectors else []))
+            assert code == 0
+            lines = list(map(show, reports))
+            assert out == ("[" + ", ".join(lines) + "]\n" if fmt == "json" else "".join(lines))
         assert law_zero > 0
-
-
-def test_fibers_law_zero_template_needs_exactly_one_marker():
-    with pytest.raises(RuntimeError, match="into 1 parts"):
-        cli._law0_template(lambda r: "no sigma", "B", 1)
-    with pytest.raises(RuntimeError, match="into 3 parts"):
-        cli._law0_template(lambda r: r.sigma.format() * 2, "B", 1)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -470,7 +477,7 @@ def test_fibers_a_failed_law_zero_window_is_written_in_full(capsys, monkeypatch,
     monkeypatch.setattr(map_d, "fiber_counts", one_more)
     code, out, _ = run(capsys, *argv)
     assert code == 1
-    show = cli._fiber_writer(fmt, group, 1, False)
+    show = fiber_show(fmt, group, 1, False)
     reports = list(fiber_reports(group, 3, 1))
     assert [r.sigma.window for r in reports if not r.passed] == failing
     if fmt == "json":
