@@ -6,8 +6,8 @@ reports), ``missing`` (missing-vector census), ``oeis-check`` (b-file
 cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 
 Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
-also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, a bare
-law-0 window of ``map_d.fiber_blocks`` as its output for (0, 0, pass).
+also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, a law-0
+window of ``map_d.fiber_blocks`` from a template of its (0, 0, pass) text.
 --jobs, else the WORPITZKY_JOBS environment variable, sets the worker count
 of the big vector sweeps (at most one per shard and CPU); results do not
 depend on it.
@@ -22,7 +22,8 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import attrgetter
+from math import factorial
+from operator import attrgetter, itemgetter
 
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
@@ -48,12 +49,12 @@ IDENTITIES = {
     "erratum-d": Identity(lambda n, m, jobs: map_d.erratum_report_d(n, m), 2, False, 1),
 }
 
-# Work bounds of `fibers`, measured on a 2-CPU Xeon with Python 3.11.7 (a
-# host whose speed varied by up to 2x; these runs were at its slow end): a
-# --sigma report counts about 0.55 M vectors/s (5^8 vectors: 0.64-0.73 s) and
-# all-sigma reports run at about 3.3-4.6 x 10^5/s (B_7 at m=1: 1.4-2.0 s; at
-# m=2 with JSON vectors, the largest admitted, 2.8-3.9 s; B_8 would be 16
-# times B_7).
+# Work bounds of `fibers`, measured as whole commands on a 2-CPU Xeon with
+# Python 3.11.7 (a host whose speed varied by up to 2x): a --sigma report
+# counts about 0.6 M vectors/s (5^8 vectors: 0.61-0.70 s); all-sigma reports
+# run at about 0.9 M/s where most laws are 0 (B_7 at m=1: 0.64-0.74 s) and
+# 0.4 M/s at m=2 with JSON vectors, the largest admitted (1.5-1.8 s); B_8
+# would be 16 times B_7.
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
@@ -100,11 +101,12 @@ def _check_args(args) -> None:
             raise UsageError("fibers requires n >= 2")
         if args.n < 1 or args.m < 0:
             raise UsageError("need n >= 1 and m >= 0")
-        if args.m and _exceeds(repeat(2 * args.m + 1, args.n), MAX_FIBER_VECTORS):
+        # both bounds grow with n and refuse n = 20, so a huge n costs nothing
+        n = min(args.n, 20)
+        if args.m and (2 * args.m + 1) ** n > MAX_FIBER_VECTORS:
             raise UsageError(f"fibers sweeps (2m+1)^n vectors, at most {MAX_FIBER_VECTORS}")
-        # |B_n| = 2 * 4 * ... * 2n, and D_n is half of B_n
-        cap = MAX_FIBER_REPORTS * (2 if args.type == "D" else 1)
-        if args.sigma is None and _exceeds(range(2, 2 * args.n + 1, 2), cap):
+        # |B_n| = 2^n n!, and D_n is half of B_n
+        if args.sigma is None and 2**n * factorial(n) > MAX_FIBER_REPORTS * (2 if args.type == "D" else 1):
             raise UsageError(
                 f"all-sigma fibers reports |{args.type}_n| sigmas, at most "
                 f"{MAX_FIBER_REPORTS}; pick one with --sigma"
@@ -141,17 +143,6 @@ def _check_rows(name: str, n_lo: int, n_hi: int, row_divisor: int = 1) -> None:
     steps = sum(n**4 for n in range(n_lo, n_hi + 1)) // row_divisor
     if steps > MAX_ROW_STEPS:
         raise UsageError(f"{name} builds rows of about {steps} steps, at most {MAX_ROW_STEPS}")
-
-
-def _exceeds(factors, cap: int) -> bool:
-    """Whether the product of ``factors`` (each >= 2) exceeds ``cap``, read
-    only up to the first partial product past it, so a huge n costs nothing."""
-    product = 1
-    for factor in factors:
-        product *= factor
-        if product > cap:
-            return True
-    return False
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -255,16 +246,32 @@ def cmd_fibers(args) -> int:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
         newline = "\n" if args.format == "json" else ""  # a text report ends in one
         return _write_reports([map_d.fiber_report(args.type, sigma, args.m)], show, tail=lambda ok: newline)
-    # all-sigma: one write per permutation of 1..n, a bare window written as
-    # the writer's passing law-0 report; JSON is one list, as json.dumps writes it
+    # all-sigma: one write per permutation p, from its pattern's template: per
+    # window a getter of the parts of its text in pieces + p's letters + p's
+    # report texts, for law 0 head, the letters (each after a piece with its
+    # sign) and law0, else the report's text (a getter of a slice gives a
+    # 1-tuple, joined to its one text).  Up to B_6 no temporary of a block
+    # passes pymalloc's 512 bytes (freed C-heap blocks kept pages resident).
     sep, bracket, tail = (", ", "[", lambda ok: "]\n") if args.format == "json" else ("", "", lambda ok: "")
-    law0 = rest(0, 0, True, ())
+    rows, blocks = map_d.fiber_blocks(args.type, args.n, args.m)
+    pieces = (head, head + "-", ",", ",-", rest(0, 0, True, ()))
+    signs = next(iter(rows.values()))[0]
+    law0 = {s: itemgetter(*[j for i, x in enumerate(s) for j in (2 * (i > 0) + (x < 0), 5 + i)], 4) for s in signs}
+    text = [itemgetter(slice(k, k + 1)) for k in range(5 + args.n, 5 + args.n + len(signs))]
+    templates = {
+        pattern: [text[k] if law else law0[s] for s, law, k in zip(signs, laws, accumulate(map(bool, laws), initial=0))]
+        for pattern, (_, laws) in rows.items()
+    }
 
     def block_text(block) -> str:
-        return sep.join([f"{head}{format_vector(r)}{law0}" if type(r) is tuple else show(r) for r in block])
+        pattern, p, reports = block
+        texts = tuple(map(show, reports))
+        if len(texts) == len(templates[pattern]):  # every window is reported
+            return sep.join(texts)
+        pool = pieces + tuple(map(str, p)) + texts
+        return sep.join(map("".join, map(itemgetter.__call__, templates[pattern], repeat(pool))))
 
-    blocks = map_d.fiber_blocks(args.type, args.n, args.m)
-    return _write_reports(blocks, block_text, sep, bracket, tail, lambda b: all(type(r) is tuple or r.passed for r in b))
+    return _write_reports(blocks, block_text, sep, bracket, tail, lambda block: all(r.passed for r in block[2]))
 
 
 def cmd_missing(args) -> int:

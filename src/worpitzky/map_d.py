@@ -19,12 +19,12 @@ one path, ``fiber_vectors``, from the chains of the type's descent set, and
 counted by one pass over the position codes of every vector, ``_images``.
 ``fiber_report`` checks the two against the size law for one sigma, each
 decoded vector validated by a phi or psi call.  ``fiber_blocks`` checks every
-sigma of the group, one block per permutation of 1..n, from one count
-oracle, one image table (each vector's window by its base-(2m+1) rank) and
-one table of the size law per group, keyed by (type-A descent pattern, sign
-mask): per signed window one count lookup, a window whose law and count are
-0 left bare, and only nonempty fibers decoded, each vector checked by one
-rank sum and one table lookup.  ``fiber_reports`` flattens the blocks.
+sigma of the group, one block per permutation of 1..n, with work that
+follows the nonempty fibers: it builds and counts only the windows of
+nonzero law (des <= m), decodes each from a plan shared by its (type-A
+descent pattern, sign mask) key, checks each vector by its rank in an image
+table, and reads the law of each count oracle key once, since a law-0
+window passes unless it is a key.  ``fiber_reports`` flattens the blocks.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import compress, product, repeat
-from operator import countOf, itemgetter, mul, or_
+from operator import countOf, itemgetter, mul
 from typing import Iterator
 
 from .bernoulli import power_sum, worpitzky_d_lhs
@@ -55,6 +55,7 @@ from .sigma_vectors import (
     check_bound,
     code_entry,
     enumerate_vectors,
+    format_vector,
     letters,
     neg_vec,
     total_weight_neg2,
@@ -156,28 +157,33 @@ def fiber_size(group: str, sigma: SignedPermutation, m: int) -> int:
     return _fiber_law(group, sigma, m)[1]
 
 
-def _decode(image, sigma: SignedPermutation, m: int, descents: tuple[int, ...]) -> list[Vector]:
-    """The vectors of the chains of sigma's descents, each checked to lie in
-    the space (every entry in -m..m) and validated by ``image``, the window
-    the type's forward map sends it to; a failure is an ArithmeticError,
-    never a silent skip."""
-    window = sigma.window
-    n = len(window)
-    # chain position i holds |a_{|sigma_i|}|: list, per entry of the vector,
-    # its chain position and the sign of sigma there
-    place = sorted(range(n), key=list(map(abs, window)).__getitem__)
-    signs = [-1 if window[i] < 0 else 1 for i in place]
-    # itemgetter of a single index returns the item, not a 1-tuple
-    pick = itemgetter(*place) if n > 1 else tuple
-    out = []
-    for abs_vals in decode_abs_chains(descents, n, m):
-        v = tuple(map(mul, signs, pick(abs_vals)))
-        if max(map(abs, v)) > m:
-            raise ArithmeticError(f"decoded vector {v} of {sigma} has an entry outside -{m}..{m}")
+def _picker(p: tuple[int, ...]):
+    """Reorders a window with absolute values p into vector order, entry k
+    from the position of k + 1 (``tuple`` at n = 1: itemgetter(i) is the item)."""
+    return itemgetter(*sorted(range(len(p)), key=p.__getitem__)) if len(p) > 1 else tuple
+
+
+def _plan(window: tuple[int, ...], m: int, descents: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The chains of the descents, each as |a_{|sigma_i|}| signed like window
+    entry i: the fiber, in window order, of every window with the signs and
+    descents of ``window``.  A ``_picker`` only reorders entries, so they are
+    checked here to lie in -m..m (else they alias another rank), once per plan."""
+    sign = [-1 if x < 0 else 1 for x in window]
+    plan = [tuple(map(mul, sign, abs_vals)) for abs_vals in decode_abs_chains(descents, len(window), m)]
+    for chain in plan:
+        if max(map(abs, chain)) > m:
+            raise ArithmeticError(f"decoded chain {chain} of {format_vector(window)} has an entry outside -{m}..{m}")
+    return plan
+
+
+def _decode(image, window: tuple[int, ...], plan: list, pick) -> list[Vector]:
+    """A window's plan in vector order, each vector validated by ``image``,
+    its window under the type's forward map: a failure raises, never skips."""
+    out = list(map(pick, plan))
+    for v in out:
         got = image(v)
         if got != window:
-            raise ArithmeticError(f"decoded vector {v} does not map back to {sigma} (got {got})")
-        out.append(v)
+            raise ArithmeticError(f"decoded vector {v} does not map back to {format_vector(window)} (got {got})")
     return out
 
 
@@ -189,14 +195,11 @@ def _forward_window(group: str, v: Vector) -> tuple[int, ...] | None:
 
 def fiber_vectors(group: str, sigma: SignedPermutation, m: int) -> list[Vector]:
     """All vectors the type's forward map sends to sigma, decoded from the
-    chains of its descent set.
-
-    Signs are recovered from sigma.  In type D the first chain position may
-    decode to zero under a negative first entry (the zero that the parity
-    flip reads as negative).  Every decoded vector is validated by a
-    forward map call.
-    """
-    return _decode(partial(_forward_window, group), sigma, m, _fiber_law(group, sigma, m)[0])
+    chains of its descent set with sigma's signs (in type D a negative first
+    entry may decode to the zero that the parity flip reads as negative),
+    each validated by a forward map call."""
+    w = sigma.window
+    return _decode(partial(_forward_window, group), w, _plan(w, m, _fiber_law(group, sigma, m)[0]), _picker(tuple(map(abs, w))))
 
 
 def psi_fibers(n: int, m: int):
@@ -257,76 +260,73 @@ def fiber_counts(group: str, n: int, m: int, table: list | None = None) -> Count
     return counts
 
 
-def _report(
-    group: str, sigma: SignedPermutation, m: int, descents: tuple[int, ...], expected: int, actual: int, image
-) -> FiberReport:
-    """The report rule of both routes: decode the chains of the descents,
-    each vector validated through ``image``, and pass when the decoded
-    vectors are distinct and expected == actual == len(decoded); with the
-    validation this makes the decoded vectors exactly the fiber.  No chain
-    exists when the law gives 0, so the descents are not read, nothing is
-    decoded, and the report passes iff the count is 0 too."""
-    if not expected:
-        return FiberReport(group, sigma, m, 0, actual, (), not actual)
-    decoded = _decode(image, sigma, m, descents)
+def _report(group: str, sigma: SignedPermutation, m: int, expected: int, actual: int, decoded: list[Vector]) -> FiberReport:
+    """The report rule of both routes: validated decoded vectors pass when
+    distinct and expected == actual == len(decoded), so they are the fiber."""
     passed = expected == actual == len(decoded) == len(set(decoded))
     return FiberReport(group, sigma, m, expected, actual, tuple(decoded), passed)
 
 
 def fiber_report(group: str, sigma: SignedPermutation, m: int) -> FiberReport:
-    """Check the fiber of sigma three ways, from one read of its descents:
-    the size law C(n + m - des(sigma), n), the decoded chain vectors, each
-    validated by a phi or psi call, and the forward-map count, sigma's
-    window counted as ``_images`` streams by (O(fiber) memory)."""
-    descents, expected = _fiber_law(group, sigma, m)
+    """Check the fiber of sigma three ways: the size law C(n + m -
+    des(sigma), n), the decoded chain vectors, each validated by a phi or
+    psi call, and the forward-map count, sigma's window counted as
+    ``_images`` streams by (O(fiber) memory)."""
+    expected = _fiber_law(group, sigma, m)[1]
     actual = countOf(_images(group, sigma.n, m), sigma.window)
-    return _report(group, sigma, m, descents, expected, actual, partial(_forward_window, group))
+    return _report(group, sigma, m, expected, actual, fiber_vectors(group, sigma, m) if expected else [])
 
 
-def fiber_blocks(group: str, n: int, m: int) -> Iterator[list]:
+def fiber_blocks(group: str, n: int, m: int, whole: bool = False) -> tuple[dict, Iterator[tuple]]:
     """The reports of every sigma of B_n or D_n by the rule of
-    ``fiber_report``, one list per permutation of 1..n in the order of
-    ``_signed_windows``, where a passing law-0 window (law and count 0)
-    stays a bare window: its report is (0, 0, pass) with no vectors, which
-    ``map_b.fiber_writer`` writes around the window.
-
-    The count oracle with its image table and the size-law table of
-    ``_descent_table`` are built once per group, checking the type, n and
-    m; a window costs one count lookup, only a window with a nonzero law or
-    count gets a report, and a decoded vector costs one rank sum and one
-    table lookup.  After the last block the tables and the oracle are
-    dropped and one full collection runs: freeing the oracle puts up to
-    2000 of its window tuples on the interpreter's tuple free list,
-    scattered over the heap, where they kept about 3 MB resident after a
-    D_6 pass at m=2.  A full collection clears the free lists (about 2 ms
-    on a 2-CPU Xeon with Python 3.11).
-    """
+    ``fiber_report``, as ``(rows, blocks)``: per type-A descent pattern the
+    signs and size laws of its windows in ``_signed_windows`` order, and per
+    permutation p of 1..n ``(pattern, p, reports)``, the reports of p's
+    windows of nonzero law, the others passing with law and count 0; or of
+    all its windows with ``whole`` or when one of law 0 is counted.  All
+    tables are built before the first block; after the last, one full
+    collection (about 2 ms) clears the tuple free list, where the oracle's
+    windows kept about 3 MB resident after D_6 at m=2."""
     table: list = []
     counts = fiber_counts(group, n, m, table)
     weights = [(2 * m + 1) ** k for k in reversed(range(n))]
     base = m * sum(weights)
     image = lambda v: table[sum(map(mul, v, weights), base)]  # noqa: E731
     law = [binom(n + m - d, n) for d in range(n + 1)]
-    laws = {pattern: list(map(law.__getitem__, row)) for pattern, row in _descent_table(group, n).items()}
-    of, zeros = SignedPermutation._of, repeat(0)
+    of, first = SignedPermutation._of, {}
     for pattern, windows in _signed_windows(n, group):
-        block, expected = list(windows), laws[pattern]
-        actual = list(map(counts.get, block, zeros))
-        for i in compress(range(len(block)), map(or_, expected, actual)):
-            sigma = of(block[i])
-            block[i] = _report(group, sigma, m, sigma.descents(group), expected[i], actual[i], image)
-        yield block
-    del table, counts, image, law, laws
-    gc.collect()
+        first.setdefault(pattern, next(windows))  # sign mask 0: the permutation
+    signs = [tuple(x // abs(x) for x in w) for w in next(_signed_windows(n, group))[1]]
+    rows, full, part = {}, {}, {}
+    for pattern, des in _descent_table(group, n).items():
+        laws = [law[d] for d in des]
+        windows = (tuple(map(mul, sign, first[pattern])) for sign in signs)
+        plans = [_plan(w, m, of(w).descents(group)) if e else () for w, e in zip(windows, laws)]
+        rows[pattern], full[pattern] = (signs, laws), (signs, laws, plans)
+        part[pattern] = [list(compress(x, laws)) for x in full[pattern]]
+    marked = {tuple(map(abs, w)) for w in counts if not law[of(w).des(group)]}
+
+    def blocks():
+        for pattern, windows in _signed_windows(n, group):
+            p = next(windows)  # sign mask 0
+            sign, laws, plans = (full if whole or p in marked else part)[pattern]
+            windows = list(map(tuple, map(map, repeat(mul), sign, repeat(p))))
+            decoded = map(_decode, repeat(image), windows, plans, repeat(_picker(p)))
+            actual = map(counts.get, windows, repeat(0))
+            yield pattern, p, list(map(_report, repeat(group), map(of, windows), repeat(m), laws, actual, decoded))
+        for held in (table, counts, full, part, marked):
+            held.clear()
+        gc.collect()
+
+    return rows, blocks()
 
 
 def fiber_reports(group: str, n: int, m: int) -> Iterator[FiberReport]:
     """The report of every sigma of B_n or D_n, in the order of
-    enumerate_bn/enumerate_dn: ``fiber_blocks`` flattened, a bare window
-    read as its passing law-0 report."""
-    for block in fiber_blocks(group, n, m):
-        for r in block:
-            yield FiberReport(group, SignedPermutation._of(r), m, 0, 0, (), True) if type(r) is tuple else r
+    enumerate_bn/enumerate_dn: the blocks of ``fiber_blocks`` with
+    ``whole``, flattened."""
+    for _, _, reports in fiber_blocks(group, n, m, whole=True)[1]:
+        yield from reports
 
 
 # -- missing-vector census ----------------------------------------------------

@@ -76,17 +76,8 @@ def parse_vector(text: str, m: int | None = None) -> Vector:
     return v
 
 
-class _LetterText(dict):
-    def __missing__(self, letter: int) -> str:  # not stored
-        return str(letter)
-
-
-# the text of each letter: a table of -64..64, and str for the others
-_letter_text = _LetterText((a, str(a)) for a in range(-64, 65)).__getitem__
-
-
 def format_vector(v: Sequence[int]) -> str:
-    return ",".join(map(_letter_text, v))
+    return ",".join(map(str, v))
 
 
 def check_bound(v: Sequence[int], m: int) -> None:

@@ -398,10 +398,15 @@ def test_fibers_exit_code_counts_every_report(capsys, monkeypatch):
     real = map_d.fiber_blocks
 
     def fail_the_second(*args):
-        for i, block in enumerate(real(*args)):
-            if i == 0:
-                block[1] = block[1]._replace(passed=False)
-            yield block
+        rows, blocks = real(*args)
+
+        def failing():
+            for i, (pattern, p, reports) in enumerate(blocks):
+                if i == 0:
+                    reports[1] = reports[1]._replace(passed=False)
+                yield pattern, p, reports
+
+        return rows, failing()
 
     monkeypatch.setattr(map_d, "fiber_blocks", fail_the_second)
     code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1", "--format", "json")
@@ -436,12 +441,14 @@ def fiber_show(fmt, group, m, vectors):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("group", ["B", "D"])
 def test_fibers_law_zero_template_is_the_writer_output(capsys, group, fmt, vectors):
-    for m in range(3):
+    # B_5 at m = 3 with vectors: most windows have a nonzero law there
+    grid = [(m, range(1 if group == "B" else 2, 5)) for m in range(3)] + [(3, [5])] * (group == "B" and vectors)
+    for m, ns in grid:
         show = fiber_show(fmt, group, m, vectors)
         lo, rest = map_b.fiber_writer(fmt, group, m, vectors)
         hi = rest(0, 0, True, ())
         law_zero = 0
-        for n in range(1 if group == "B" else 2, 5):
+        for n in ns:
             reports = list(fiber_reports(group, n, m))
             for r in reports:
                 if r.expected_size == 0 and r.passed:
@@ -472,9 +479,12 @@ def test_fibers_a_failed_law_zero_window_is_written_in_full(capsys, monkeypatch,
         return counts
 
     argv = ["fibers", "--type", group, "--n", "3", "--m", "1", "--format", fmt]
-    blocks = list(map_d.fiber_blocks(group, 3, 1))
-    assert failing[0] in blocks[0][1:-1] and failing[1] in blocks[-1]
     monkeypatch.setattr(map_d, "fiber_counts", one_more)
+    # a counted law-0 window makes its permutation's block report every window
+    rows, blocks = map_d.fiber_blocks(group, 3, 1)
+    blocks = [[r.sigma.window for r in reports] for _, _, reports in blocks]
+    assert failing[0] in blocks[0][1:-1] and failing[1] in blocks[-1]
+    assert len(blocks[0]) == len(blocks[-1]) == len(next(iter(rows.values()))[0])
     code, out, _ = run(capsys, *argv)
     assert code == 1
     show = fiber_show(fmt, group, 1, False)
@@ -515,6 +525,11 @@ def test_fibers_single_sigma_equals_its_all_sigma_entry(capsys, group, n, sigma)
         "--type B --n 12 --m 1 --format json",
         "--type D --n 1000000000 --m 1 --sigma 1,2",
         "--type B --n 1000000000 --m 0",
+        # n past a C ssize_t, with and without --sigma
+        "--type B --n 999999999999999999999 --m 1",
+        "--type D --n 999999999999999999999 --m 1",
+        "--type B --n 999999999999999999999 --m 1 --sigma 1",
+        "--type D --n 999999999999999999999 --m 1 --sigma 1,2",
     ],
 )
 def test_fibers_refuses_work_past_its_bounds_before_any_report(capsys, monkeypatch, argv):

@@ -347,16 +347,47 @@ def test_a_decoded_entry_outside_the_letters_is_refused_not_aliased(monkeypatch,
 
 @pytest.mark.parametrize("group", ["B", "D"])
 def test_fiber_blocks_keep_exactly_the_passing_law_zero_windows_bare(group):
+    # a block reports the windows of nonzero law; the windows it leaves out
+    # are exactly the passing law-0 ones
     for n in range(1 if group == "B" else 2, 5):
         for m in range(3):
-            blocks = list(map_d.fiber_blocks(group, n, m))
-            assert len(blocks) == factorial(n)
-            flat = [r for block in blocks for r in block]
-            for item, report in zip(flat, fiber_reports(group, n, m), strict=True):
-                if type(item) is tuple:
-                    assert (item, report.expected_size, report.oracle_size, report.passed) == (report.sigma.window, 0, 0, True)
-                else:
-                    assert item == report and (item.expected_size or item.oracle_size)
+            rows, blocks = map_d.fiber_blocks(group, n, m)
+            blocks = list(blocks)
+            assert len(blocks) == factorial(n) and len(rows) == 2 ** (n - 1)
+            counts = fiber_counts(group, n, m)
+            reports = fiber_reports(group, n, m)
+            for pattern, p, block in blocks:
+                assert pattern == tuple(a > b for a, b in zip(p, p[1:]))
+                signs, laws = rows[pattern]
+                windows = [tuple(s * a for s, a in zip(sign, p)) for sign in signs]
+                full = [next(reports) for _ in signs]
+                assert [r.sigma.window for r in full] == windows
+                assert [r.expected_size for r in full] == laws == [fiber_size(group, SignedPermutation(w), m) for w in windows]
+                assert [r.oracle_size for r in full] == [counts[w] for w in windows]
+                assert block == [r for r in full if r.expected_size]
+                assert all((r.oracle_size, r.vectors, r.passed) == (0, (), True) for r in full if not r.expected_size)
+            assert next(reports, None) is None
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_decode_plans_give_the_vectors_of_decode_in_its_order(group):
+    # the all-sigma pass decodes each window from the plan of its (pattern,
+    # signs) key, read from the pattern's first permutation; each sigma's
+    # own decoding, through _decode and written out entry by entry, must
+    # give the same list in the same order
+    for n in range(1 if group == "B" else 2, 6):
+        for m in range(4):
+            for r in fiber_reports(group, n, m):
+                w = r.sigma.window
+                descents = r.sigma.descents(group)
+                by_entry = []
+                for abs_vals in map_d.decode_abs_chains(descents, n, m):
+                    v = [0] * n
+                    for x, a in zip(w, abs_vals):
+                        v[abs(x) - 1] = a if x > 0 else -a
+                    by_entry.append(tuple(v))
+                own = map_d._decode(lambda v: w, w, map_d._plan(w, m, descents), map_d._picker(tuple(map(abs, w))))
+                assert list(r.vectors) == by_entry == own, (w, m)
 
 
 @pytest.mark.parametrize("group", ["B", "D"])
