@@ -59,9 +59,10 @@ MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
 # Work bound of `missing` and of the worpitzky-b and balance-d grids: at one
-# job on the same host the census, neg2 and neg folds run at about 1.4, 2.9
-# and 5.5 M vectors/s (7^8 vectors: 4.1 s, 2.0 s and 1.0 s), so 10^7 vectors
-# take up to about 8 s (`missing --n 10 --m 2`, 5^10 vectors: 7.6 s).
+# job on the same host whole `missing`, balance-d and worpitzky-b commands
+# sweep about 7.2, 9.0 and 24 M vectors/s at 7^8 vectors (0.80, 0.64, 0.24 s),
+# 2.2, 2.8 and 7.9 M/s at 3^14 (2.1, 1.7, 0.61 s), so 10^7 vectors take up to
+# about 3 s (balance-d over n = 2..14 at m = 1, 7.2 M vectors: 2.9 s).
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
 # Work bound of the Eulerian rows of a verify grid or of oeis-check, one per

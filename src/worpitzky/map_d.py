@@ -48,8 +48,8 @@ from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
 from .signed_perm import SignedPermutation, _descent_table, _signed_windows
 from .sigma_vectors import (
-    NO_CODE,
     Vector,
+    _prefix_keys,
     _shard_columns,
     _sweep,
     check_bound,
@@ -438,19 +438,14 @@ def _census_fold(shard) -> list[int]:
     def offset(c1: int, c2: int, odd: int) -> int:
         return _code_case(n, c1, c2, odd) * w - c1 % w
 
-    *head, last = _shard_columns(n, m, first)
-    for prefix in product(*head):
-        s = sum(prefix)
-        # the prefix's two smallest codes a < b; b is NO_CODE when n = 2
-        a, b, *_ = sorted((*prefix, NO_CODE))
+    # one step per prefix key and last code c, where the prefix's two
+    # smallest codes are a < b (b is NO_CODE when n = 2)
+    last, keys = _prefix_keys(_shard_columns(n, m, first), 2)
+    for (s, (a, b)), count in keys.items():
         for c in last:
             neg = (s + c) % w
-            if c > b:
-                cells[offset(a, b, neg & 1) + neg] += 1
-            elif c > a:
-                cells[offset(a, c, neg & 1) + neg] += 1
-            else:
-                cells[offset(c, a, neg & 1) + neg] += 1
+            c1, c2, _ = sorted((a, b, c))
+            cells[offset(c1, c2, neg & 1) + neg] += count
     return cells
 
 

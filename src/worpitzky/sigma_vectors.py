@@ -8,8 +8,8 @@ The alphabet carries the linear order
 absolute value).  ``order_key`` ranks a letter in this order and
 ``position_code`` a letter at a position in the order ``phi`` sorts by.  The
 sweep engine ``_sweep`` folds every vector of a shard through these codes,
-prefix by prefix: a fold reads the sum and smallest code of each prefix of
-n-1 codes once, then takes one step per vector over the last column.
+prefix by prefix: ``_prefix_keys`` counts the prefixes of n-1 codes by their
+sum and smallest codes in C, and a fold takes one step per key and last code.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from itertools import product
+from collections import Counter
+from itertools import product, repeat, tee
 from multiprocessing import Pool
+from operator import add, itemgetter
 from typing import Iterator, Sequence
 
 from .exactnum import QPolynomial
@@ -108,7 +110,7 @@ def code_entry(code: int, n: int) -> int:
     return rest % w - w if negative else rest % w
 
 
-# above every position code: the smallest code of an empty prefix
+# above every position code: pads a prefix shorter than the smallest codes read
 NO_CODE = math.inf
 
 
@@ -118,15 +120,30 @@ def _shard_columns(n: int, m: int, first: int) -> list[tuple[int, ...]]:
     return [(position_code(1, first, n),)] + tail
 
 
+def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, ...], Counter]:
+    """The last column, and the prefixes of n-1 codes counted in C by key: the
+    code sum mod n+1, paired for low > 0 with the ``low`` smallest codes (a
+    bare code for low = 1), padded with NO_CODE."""
+    *head, last = columns
+    w = len(columns) + 1
+    prefixes = product(*head)
+    if not low:
+        return last, Counter(map(w.__rmod__, map(sum, prefixes)))
+    prefixes, rest = tee(prefixes)
+    # pads a prefix shorter than low: at n = 1, and at n = 2 when low = 2
+    pad = (NO_CODE,) * (low - len(head))
+    smallest = map(itemgetter(*range(low)), map(sorted, map(add, rest, repeat(pad))))
+    return last, Counter(zip(map(w.__rmod__, map(sum, prefixes)), smallest))
+
+
 def _neg_fold(shard) -> list[int]:
     n, m, first = shard
     w = n + 1
     counts = [0] * w
-    *head, last = _shard_columns(n, m, first)
-    for prefix in product(*head):
-        s = sum(prefix)
+    last, keys = _prefix_keys(_shard_columns(n, m, first), 0)
+    for s, count in keys.items():
         for c in last:
-            counts[(s + c) % w] += 1
+            counts[(s + c) % w] += count
     return counts
 
 
@@ -134,15 +151,12 @@ def _neg2_fold(shard) -> list[int]:
     n, m, first = shard
     w = n + 1
     counts = [0] * w
-    *head, last = _shard_columns(n, m, first)
-    # the smallest code is the smallest letter; its last digit is its sign.
-    # The cell is (s + c - min(c, lo)) % w, with min written out
-    for prefix in product(*head):
-        s = sum(prefix)
-        lo = min(prefix, default=NO_CODE)
-        rest = s - lo
+    last, keys = _prefix_keys(_shard_columns(n, m, first), 1)
+    # the smallest code is the smallest letter and its last digit is its
+    # sign, so neg2 leaves min(c, lo) out of the sum
+    for (s, lo), count in keys.items():
         for c in last:
-            counts[(s if c < lo else rest + c) % w] += 1
+            counts[(s + c - min(c, lo)) % w] += count
     return counts
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+from itertools import product, repeat
 from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,7 +35,7 @@ from worpitzky.map_d import (
     verify_worpitzky_d_q1,
 )
 from worpitzky.signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
-from worpitzky.sigma_vectors import enumerate_vectors, neg2_vec, position_code
+from worpitzky.sigma_vectors import enumerate_vectors, letters, neg2_vec, position_code
 
 
 def test_psi_flip_example():
@@ -486,6 +487,13 @@ def test_census_parallel_matches_serial():
     assert missing_census(3, 2, jobs=2).to_json_dict() == missing_census(3, 2).to_json_dict()
 
 
+def _census_cell(v) -> int:
+    """The census cell of v: its psi block, then neg2 within the block."""
+    outcome = psi(v)
+    block = len(MISSING_CASES) if outcome.is_associated else MISSING_CASES.index(outcome.missing_case)
+    return block * (len(v) + 1) + neg2_vec(v)
+
+
 def test_census_fold_classifies_every_vector_as_psi(monkeypatch):
     # one-vector shards: one column per position, holding v's code alone
     columns = []
@@ -495,13 +503,21 @@ def test_census_fold_classifies_every_vector_as_psi(monkeypatch):
             for v in enumerate_vectors(n, m):
                 columns[:] = [(position_code(i, a, n),) for i, a in enumerate(v, start=1)]
                 cells = map_d._census_fold((n, m, v[0]))
-                outcome = psi(v)
-                block = len(MISSING_CASES) if outcome.is_associated else MISSING_CASES.index(
-                    outcome.missing_case
-                )
                 expected = [0] * len(cells)
-                expected[block * (n + 1) + neg2_vec(v)] = 1
+                expected[_census_cell(v)] = 1
                 assert cells == expected, v
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_fold_tallies_real_shards_as_psi(n):
+    # whole shards, where many prefixes share a key, so each key's count
+    # must reach every cell its last-column letters fold it into
+    for m in range(4):
+        for first in letters(m):
+            expected = [0] * ((len(MISSING_CASES) + 1) * (n + 1))
+            for v in product((first,), *repeat(letters(m), n - 1)):
+                expected[_census_cell(v)] += 1
+            assert map_d._census_fold((n, m, first)) == expected, (m, first)
 
 
 def test_census_json_schema():

@@ -3,15 +3,19 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from worpitzky import sigma_vectors
 from worpitzky.exactnum import QPolynomial
+from worpitzky.map_d import MISSING_CASES, missing_census, psi
 from worpitzky.sigma_vectors import (
     _neg2_fold,
     _neg_fold,
     _sweep,
     enumerate_vectors,
     format_vector,
+    letters,
     neg2_vec,
     neg_vec,
     order_key,
@@ -117,6 +121,28 @@ def test_folds_equal_the_per_vector_statistics(fold, stat):
                 assert fold((n, m, first)) == tally
 
 
+# a shard (n, m, first) with n <= 6, m <= 3 and a first letter in -m..m
+_shards = st.integers(1, 6).flatmap(
+    lambda n: st.integers(0, 3).flatmap(lambda m: st.tuples(st.just(n), st.just(m), st.integers(-m, m)))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shard=_shards)
+@example(shard=(1, 0, 0))  # empty prefix: its smallest code is the NO_CODE pad
+@example(shard=(1, 3, -3))
+@example(shard=(2, 3, 2))  # a prefix of one code
+@example(shard=(6, 3, -1))
+def test_folds_count_every_prefix_of_a_drawn_shard(shard):
+    n, m, first = shard
+    neg, neg2 = [0] * (n + 1), [0] * (n + 1)
+    for v in itertools.product((first,), *itertools.repeat(letters(m), n - 1)):
+        neg[neg_vec(v)] += 1
+        neg2[neg2_vec(v)] += 1
+    assert _neg_fold(shard) == neg
+    assert _neg2_fold(shard) == neg2
+
+
 class _InProcessPool:
     """Stands in for multiprocessing.Pool: records the worker count and maps
     in this process, so no worker is started."""
@@ -149,6 +175,28 @@ def test_engine_caps_workers_at_shards_and_cpus(monkeypatch):
     monkeypatch.setattr(sigma_vectors.os, "cpu_count", lambda: 1)
     assert _sweep(_neg2_fold, 3, 2, 1000) == serial
     assert _InProcessPool.created == [4, 3, 3]
+
+
+@pytest.mark.parametrize("n, m", [(6, 2), (7, 1)])
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_sweeps_equal_brute_sums_over_every_vector(monkeypatch, n, m, jobs):
+    monkeypatch.setattr(sigma_vectors, "Pool", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "created", [])
+    monkeypatch.setattr(sigma_vectors.os, "cpu_count", lambda: 4)
+    neg, neg2 = [0] * (n + 1), [0] * (n + 1)
+    cases = {case: [0] * (n + 1) for case in (*MISSING_CASES, None)}
+    for v in enumerate_vectors(n, m):
+        neg[neg_vec(v)] += 1
+        neg2[neg2_vec(v)] += 1
+        cases[psi(v).missing_case][neg2_vec(v)] += 1
+    assert total_weight_neg(n, m, jobs) == QPolynomial(neg)
+    assert total_weight_neg2(n, m, jobs) == QPolynomial(neg2)
+    census = missing_census(n, m, jobs)
+    assert census.counts == {case: sum(cases[case]) for case in MISSING_CASES}
+    assert census.weights == {case: QPolynomial(cases[case]) for case in MISSING_CASES}
+    assert census.associated_count == sum(cases[None])
+    # jobs=3 runs each sweep through the stand-in pool, with one worker per job
+    assert _InProcessPool.created == ([3] * 3 if jobs > 1 else [])
 
 
 def test_vector_text_round_trip():
