@@ -58,11 +58,11 @@ IDENTITIES = {
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
-# Work bound of `missing` and of the worpitzky-b and balance-d grids: at one
-# job on the same host whole `missing`, balance-d and worpitzky-b commands
-# sweep about 7.2, 9.0 and 24 M vectors/s at 7^8 vectors (0.80, 0.64, 0.24 s),
-# 2.2, 2.8 and 7.9 M/s at 3^14 (2.1, 1.7, 0.61 s), so 10^7 vectors take up to
-# about 3 s (balance-d over n = 2..14 at m = 1, 7.2 M vectors: 2.9 s).
+# Work bound of `missing` and of the worpitzky-b and balance-d grids.  Folds
+# step once per (n-1)-prefix key and last letter, so small n is the slowest:
+# whole `missing` commands at one job near the bound took about 20 s at n = 2
+# (m = 1580, the slowest admitted sweep), 10 s at n = 3, 3 s at n = 4 and
+# under 0.25 s from n = 8 on (`missing --n 10 --m 2`: 0.2 s).
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
 # Work bound of the Eulerian rows of a verify grid or of oeis-check, one per

@@ -7,9 +7,9 @@ The alphabet carries the linear order
 (zero first, then by absolute value, negative before positive at equal
 absolute value).  ``order_key`` ranks a letter in this order and
 ``position_code`` a letter at a position in the order ``phi`` sorts by.  The
-sweep engine ``_sweep`` folds every vector of a shard through these codes,
-prefix by prefix: ``_prefix_keys`` counts the prefixes of n-1 codes by their
-sum and smallest codes in C, and a fold takes one step per key and last code.
+sweep engine ``_sweep`` folds every vector of a shard through these codes:
+``_prefix_keys`` counts the prefixes of n-1 codes by their sum and smallest
+codes, column by column, and a fold takes one step per key and last code.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import itertools
 import math
 import os
 from collections import Counter
-from itertools import product, repeat, tee
 from multiprocessing import Pool
-from operator import add, itemgetter
 from typing import Iterator, Sequence
 
 from .exactnum import QPolynomial
@@ -121,19 +119,26 @@ def _shard_columns(n: int, m: int, first: int) -> list[tuple[int, ...]]:
 
 
 def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, ...], Counter]:
-    """The last column, and the prefixes of n-1 codes counted in C by key: the
-    code sum mod n+1, paired for low > 0 with the ``low`` smallest codes (a
-    bare code for low = 1), padded with NO_CODE."""
+    """The last column, and the prefixes of n-1 codes counted by key: the
+    code sum mod n+1, paired for low = 1 or 2 with the ``low`` smallest codes
+    (a bare code for low = 1), padded with NO_CODE.  A prefix's key after one
+    more code depends only on its key before and that code, so the keys are
+    counted one column at a time, without building any prefix."""
     *head, last = columns
     w = len(columns) + 1
-    prefixes = product(*head)
-    if not low:
-        return last, Counter(map(w.__rmod__, map(sum, prefixes)))
-    prefixes, rest = tee(prefixes)
-    # pads a prefix shorter than low: at n = 1, and at n = 2 when low = 2
-    pad = (NO_CODE,) * (low - len(head))
-    smallest = map(itemgetter(*range(low)), map(sorted, map(add, rest, repeat(pad))))
-    return last, Counter(zip(map(w.__rmod__, map(sum, prefixes)), smallest))
+    # NO_CODE stands for a code a prefix lacks: in a key (n = 1, or n = 2 at low 2) and in pair
+    pad = (NO_CODE,) * (2 - low)
+    keys = Counter({(0, (NO_CODE,) * low): 1})
+    for column in head:
+        keys, before = Counter(), keys
+        for (s, small), count in before.items():
+            a, b = pair = small + pad  # small, padded to two codes
+            for c in column:
+                key = (s + c) % w, ((c, a) if c < a else (a, c) if c < b else pair)[:low]
+                keys[key] = keys.get(key, 0) + count
+    if low == 2:
+        return last, keys
+    return last, Counter({(s, *small) if low else s: count for (s, small), count in keys.items()})
 
 
 def _neg_fold(shard) -> list[int]:

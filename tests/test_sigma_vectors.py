@@ -1,17 +1,21 @@
 """Alphabet order, vector statistics and total q-weights."""
 
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from worpitzky import sigma_vectors
+from worpitzky import map_d, sigma_vectors
 from worpitzky.exactnum import QPolynomial
-from worpitzky.map_d import MISSING_CASES, missing_census, psi
+from worpitzky.map_d import MISSING_CASES, missing_census, psi, verify_balance_d_q
 from worpitzky.sigma_vectors import (
+    NO_CODE,
     _neg2_fold,
     _neg_fold,
+    _prefix_keys,
+    _shard_columns,
     _sweep,
     enumerate_vectors,
     format_vector,
@@ -20,6 +24,7 @@ from worpitzky.sigma_vectors import (
     neg_vec,
     order_key,
     parse_vector,
+    position_code,
     total_weight_neg,
     total_weight_neg2,
 )
@@ -127,6 +132,44 @@ _shards = st.integers(1, 6).flatmap(
 )
 
 
+def _keys_of_every_prefix(columns, low):
+    """The keys read off each (n-1)-prefix in turn: its code sum mod n+1,
+    with for low > 0 its ``low`` smallest codes, padded with NO_CODE."""
+    *head, _ = columns
+    w = len(columns) + 1
+    keys = Counter()
+    for prefix in itertools.product(*head):
+        s = sum(prefix) % w
+        smallest = tuple(sorted(prefix + (NO_CODE,) * low)[:low])
+        keys[s if not low else (s, smallest[0]) if low == 1 else (s, smallest)] += 1
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(shard=_shards, low=st.integers(0, 2))
+@example(shard=(1, 0, 0), low=1)  # an empty prefix: its smallest code is the pad
+@example(shard=(1, 3, -3), low=0)
+@example(shard=(2, 3, 2), low=2)  # a prefix of one code, padded to two
+@example(shard=(6, 3, -1), low=2)
+def test_prefix_keys_count_every_prefix_by_its_key(shard, low):
+    n, m, first = shard
+    assume(n >= 2 or low < 2)  # the census, the only low-2 reader, needs n >= 2
+    columns = _shard_columns(n, m, first)
+    last, keys = _prefix_keys(columns, low)
+    assert last == columns[-1]
+    assert keys == _keys_of_every_prefix(columns, low)
+
+
+@pytest.mark.parametrize("n, low, key", [
+    (1, 0, 0),
+    (1, 1, (0, NO_CODE)),
+    (2, 2, (position_code(1, -1, 2) % 3, (position_code(1, -1, 2), NO_CODE))),
+])
+def test_prefix_keys_pad_a_prefix_shorter_than_low(n, low, key):
+    # the shard of vectors starting with -1: its one prefix holds n-1 codes
+    assert _prefix_keys(_shard_columns(n, 1, -1), low)[1] == Counter({key: 1})
+
+
 @settings(max_examples=40, deadline=None)
 @given(shard=_shards)
 @example(shard=(1, 0, 0))  # empty prefix: its smallest code is the NO_CODE pad
@@ -136,11 +179,19 @@ _shards = st.integers(1, 6).flatmap(
 def test_folds_count_every_prefix_of_a_drawn_shard(shard):
     n, m, first = shard
     neg, neg2 = [0] * (n + 1), [0] * (n + 1)
+    # the census's blocks of n+1 cells: one per missing case, then the associated
+    census = [0] * ((len(MISSING_CASES) + 1) * (n + 1))
     for v in itertools.product((first,), *itertools.repeat(letters(m), n - 1)):
         neg[neg_vec(v)] += 1
         neg2[neg2_vec(v)] += 1
+        if n > 1:
+            case = psi(v).missing_case
+            block = len(MISSING_CASES) if case is None else MISSING_CASES.index(case)
+            census[block * (n + 1) + neg2_vec(v)] += 1
     assert _neg_fold(shard) == neg
     assert _neg2_fold(shard) == neg2
+    if n > 1:
+        assert map_d._census_fold(shard) == census
 
 
 class _InProcessPool:
@@ -197,6 +248,15 @@ def test_sweeps_equal_brute_sums_over_every_vector(monkeypatch, n, m, jobs):
     assert census.associated_count == sum(cases[None])
     # jobs=3 runs each sweep through the stand-in pool, with one worker per job
     assert _InProcessPool.created == ([3] * 3 if jobs > 1 else [])
+
+
+@pytest.mark.parametrize("n, m", [(14, 1), (10, 2), (8, 3)])
+def test_large_sweeps_meet_their_closed_forms(n, m):
+    # millions of vectors, but few prefix keys per shard
+    assert total_weight_neg(n, m) == QPolynomial([1 + m, m]) ** n
+    census = missing_census(n, m)
+    assert census.total_count + census.associated_count == (2 * m + 1) ** n
+    assert verify_balance_d_q(n, m).passed
 
 
 def test_vector_text_round_trip():
