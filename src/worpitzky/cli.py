@@ -8,9 +8,9 @@ cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
 also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, a law-0
 window of ``map_d.fiber_blocks`` from a template of its (0, 0, pass) text.
---jobs, else the WORPITZKY_JOBS environment variable, sets the worker count
-of the big vector sweeps (at most one per shard and CPU); results do not
-depend on it.
+The vector sweeps of ``verify`` and ``missing`` run in one pass in this
+process; their --jobs flag is still accepted and checked (>= 1), and has no
+effect.
 """
 
 from __future__ import annotations
@@ -30,23 +30,21 @@ from .eulerian import MAX_ROW_N, eulerian_row
 from .signed_perm import SignedPermutation
 from .sigma_vectors import format_vector, parse_vector
 
-JOBS_ENV_VAR = "WORPITZKY_JOBS"
-
 
 class UsageError(Exception):
     pass
 
 
-# Per identity: its report call (n, m, jobs), made through the module attribute
-# so a patched or rebound library name is the one called; its least n; whether
+# Per identity: its report call (n, m), made through the module attribute so
+# a patched or rebound library name is the one called; its least n; whether
 # it sweeps the vector space of each (n, m) cell; its rows cost n^4 / row_divisor.
 Identity = namedtuple("Identity", "report least_n sweeps row_divisor")
 IDENTITIES = {
-    "worpitzky-a": Identity(lambda n, m, jobs: map_b.verify_worpitzky_a(n, m), 1, False, 8),
-    "worpitzky-b": Identity(lambda n, m, jobs: map_b.verify_worpitzky_b(n, m, jobs=jobs), 1, True, 1),
-    "worpitzky-d": Identity(lambda n, m, jobs: map_d.verify_worpitzky_d_q1(n, m), 2, False, 1),
-    "balance-d": Identity(lambda n, m, jobs: map_d.verify_balance_d_q(n, m, jobs=jobs), 2, True, 1),
-    "erratum-d": Identity(lambda n, m, jobs: map_d.erratum_report_d(n, m), 2, False, 1),
+    "worpitzky-a": Identity(lambda n, m: map_b.verify_worpitzky_a(n, m), 1, False, 8),
+    "worpitzky-b": Identity(lambda n, m: map_b.verify_worpitzky_b(n, m), 1, True, 1),
+    "worpitzky-d": Identity(lambda n, m: map_d.verify_worpitzky_d_q1(n, m), 2, False, 1),
+    "balance-d": Identity(lambda n, m: map_d.verify_balance_d_q(n, m), 2, True, 1),
+    "erratum-d": Identity(lambda n, m: map_d.erratum_report_d(n, m), 2, False, 1),
 }
 
 # Work bounds of `fibers`, measured as whole commands on a 2-CPU Xeon with
@@ -60,9 +58,9 @@ MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
 # Work bound of `missing` and of the worpitzky-b and balance-d grids.  Folds
 # step once per (n-1)-prefix key and last letter, so small n is the slowest:
-# whole `missing` commands at one job near the bound took about 20 s at n = 2
-# (m = 1580, the slowest admitted sweep), 10 s at n = 3, 3 s at n = 4 and
-# under 0.25 s from n = 8 on (`missing --n 10 --m 2`: 0.2 s).
+# whole `missing` commands near the bound took about 9 s at n = 2 (m = 1580,
+# the slowest admitted sweep), 8 s at n = 3 (m = 107), 1 s at n = 4 and
+# under 0.25 s from n = 8 on (`missing --n 10 --m 2`: 0.13 s).
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
 # Work bound of the Eulerian rows of a verify grid or of oeis-check, one per
@@ -84,8 +82,8 @@ def _check_args(args) -> None:
     """Post-validation argparse cannot express, one branch per command: the
     job count, n >= 2 wherever type D is involved, m >= 0 wherever m is, and
     the bounds on rows, brute sweeps and fibers work, before any work."""
-    if hasattr(args, "jobs"):
-        args.jobs = _job_count(args.jobs)
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        raise UsageError(f"need a job count >= 1, got {args.jobs}")
     if args.command == "verify":
         _, least_n, sweeps, row_divisor = IDENTITIES[args.identity]
         _check_grid(args.identity, least_n, sweeps, args.n_range, args.m_range, row_divisor)
@@ -159,18 +157,6 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _job_count(flag: int | None) -> int:
-    """The worker count: --jobs, else WORPITZKY_JOBS, else 1."""
-    raw = os.environ.get(JOBS_ENV_VAR, "1") if flag is None else flag
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError(f"{JOBS_ENV_VAR}={raw!r} is not an integer") from None
-    if jobs < 1:
-        raise UsageError(f"need a job count >= 1, got {jobs}")
-    return jobs
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 def cmd_eulerian(args) -> int:
@@ -214,7 +200,7 @@ def _verify_text(r) -> str:
 def cmd_verify(args) -> int:
     (n_lo, n_hi), (m_lo, m_hi) = args.n_range, args.m_range
     report = IDENTITIES[args.identity].report
-    reports = (report(n, m, args.jobs) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
+    reports = (report(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
     if args.format == "json":  # the bytes of json.dumps({"reports": [...], "pass": ok})
         tail = lambda ok: f'], "pass": {json.dumps(ok)}}}\n'  # noqa: E731
         return _write_reports(reports, lambda r: json.dumps(r.to_json_dict()), ", ", '{"reports": [', tail)
@@ -276,7 +262,7 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_missing(args) -> int:
-    census = map_d.missing_census(args.n, args.m, jobs=args.jobs)
+    census = map_d.missing_census(args.n, args.m)
     if args.format == "json":
         print(json.dumps(census.to_json_dict()))
     else:

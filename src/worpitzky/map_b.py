@@ -203,7 +203,7 @@ def verify_worpitzky_a(n: int, k: int) -> IdentityReport:
     return IdentityReport("worpitzky-a", n, k, lhs, rhs, lhs == rhs, terms=terms)
 
 
-def verify_worpitzky_b(n: int, m: int, jobs: int = 1) -> IdentityReport:
+def verify_worpitzky_b(n: int, m: int) -> IdentityReport:
     """Three-way check of the type-B q-identity.
 
     The closed form (1 + (1+q)m)^n, the Eulerian sum
@@ -214,7 +214,7 @@ def verify_worpitzky_b(n: int, m: int, jobs: int = 1) -> IdentityReport:
         raise ValueError("need n >= 1 and m >= 0")
     lhs = QPolynomial((1 + m, m)) ** n
     rhs, terms = rhs_eulerian_sum(eulerian_row_b_q(n).entries, n, m)
-    brute = total_weight_neg(n, m, jobs=jobs)
+    brute = total_weight_neg(n, m)
     passed = lhs == rhs == brute
     return IdentityReport(
         "worpitzky-b", n, m, lhs, rhs, passed, extras={"brute": brute}, terms=terms

@@ -49,14 +49,12 @@ from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, 
 from .signed_perm import SignedPermutation, _descent_table, _signed_windows
 from .sigma_vectors import (
     Vector,
+    _columns,
     _prefix_keys,
-    _shard_columns,
-    _sweep,
     check_bound,
     code_entry,
     enumerate_vectors,
     format_vector,
-    letters,
     neg_vec,
     total_weight_neg2,
 )
@@ -227,22 +225,21 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
     if n < least:
         raise ValueError(f"type-{group} fibers need n >= {least}")
     w = n + 1
+    columns = _columns(n, m)
+    entry = {code: code_entry(code, n) for column in columns for code in column}.__getitem__
+    if group == "B":
+        yield from (tuple(map(entry, sorted(codes))) for codes in product(*columns))
+        return
     case = lru_cache(maxsize=None)(partial(_code_case, n))
-    for first in letters(m):
-        columns = _shard_columns(n, m, first)
-        entry = {code: code_entry(code, n) for column in columns for code in column}.__getitem__
-        if group == "B":
-            yield from (tuple(map(entry, sorted(codes))) for codes in product(*columns))
+    for codes in product(*columns):
+        low = sorted(codes)
+        odd = sum(codes) % w & 1
+        if case(low[0], low[1], odd) < len(MISSING_CASES):
+            yield None
             continue
-        for codes in product(*columns):
-            low = sorted(codes)
-            odd = sum(codes) % w & 1
-            if case(low[0], low[1], odd) < len(MISSING_CASES):
-                yield None
-                continue
-            window = tuple(map(entry, low))
-            # a zero (a code below w^2) and odd negatives: psi flips sigma_1
-            yield (-window[0],) + window[1:] if odd and low[0] < w * w else window
+        window = tuple(map(entry, low))
+        # a zero (a code below w^2) and odd negatives: psi flips sigma_1
+        yield (-window[0],) + window[1:] if odd and low[0] < w * w else window
 
 
 def fiber_counts(group: str, n: int, m: int, table: list | None = None) -> Counter[tuple[int, ...]]:
@@ -425,10 +422,9 @@ class MissingCensus:
         }
 
 
-def _census_fold(shard) -> list[int]:
+def _census_fold(n: int, m: int) -> list[int]:
     """One block of n+1 cells per missing case and a last one for the
     associated vectors; cell k of a block counts its vectors with neg2 = k."""
-    n, m, first = shard
     w = n + 1
     cells = [0] * ((len(MISSING_CASES) + 1) * w)
 
@@ -439,21 +435,27 @@ def _census_fold(shard) -> list[int]:
         return _code_case(n, c1, c2, odd) * w - c1 % w
 
     # one step per prefix key and last code c, where the prefix's two
-    # smallest codes are a < b (b is NO_CODE when n = 2)
-    last, keys = _prefix_keys(_shard_columns(n, m, first), 2)
+    # smallest codes are a < b (b is NO_CODE when n = 2).  offset reads a
+    # code's entry and sign from it mod w^2, and a zero from a code below w^2,
+    # so it is called with each code's class, which keeps its cache under
+    # 8 w^4 entries however many letters there are
+    ww = w * w
+    last, keys = _prefix_keys(_columns(n, m), 2)
     for (s, (a, b)), count in keys.items():
         for c in last:
             neg = (s + c) % w
             c1, c2, _ = sorted((a, b, c))
-            cells[offset(c1, c2, neg & 1) + neg] += count
+            k1 = c1 if c1 < ww else c1 % ww + ww
+            k2 = c2 if c2 < ww else c2 % ww + ww
+            cells[offset(k1, k2, neg & 1) + neg] += count
     return cells
 
 
-def missing_census(n: int, m: int, jobs: int = 1) -> MissingCensus:
+def missing_census(n: int, m: int) -> MissingCensus:
     """Classify every vector and tally the missing ones per case."""
     if n < 2:
         raise ValueError("need n >= 2")
-    cells = _sweep(_census_fold, n, m, jobs)
+    cells = _census_fold(n, m)
     w = n + 1
     blocks = {case: cells[c * w:(c + 1) * w] for c, case in enumerate(MISSING_CASES)}
     counts = {case: sum(block) for case, block in blocks.items()}
@@ -531,7 +533,7 @@ def verify_worpitzky_d_q1(n: int, m: int) -> IdentityReport:
     return IdentityReport("worpitzky-d", n, m, lhs, rhs, lhs == rhs, terms=terms)
 
 
-def verify_balance_d_q(n: int, m: int, jobs: int = 1) -> IdentityReport:
+def verify_balance_d_q(n: int, m: int) -> IdentityReport:
     """Mass balance: total vector weight = associated weight + missing weight.
 
     The left side is the brute-force sum of q^neg2 over all vectors; the
@@ -540,7 +542,7 @@ def verify_balance_d_q(n: int, m: int, jobs: int = 1) -> IdentityReport:
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    lhs = total_weight_neg2(n, m, jobs=jobs)
+    lhs = total_weight_neg2(n, m)
     associated, terms = associated_weight_sum(n, m)
     missing = missing_weight_closed(n, m)
     rhs = associated + missing

@@ -7,18 +7,20 @@ The alphabet carries the linear order
 (zero first, then by absolute value, negative before positive at equal
 absolute value).  ``order_key`` ranks a letter in this order and
 ``position_code`` a letter at a position in the order ``phi`` sorts by.  The
-sweep engine ``_sweep`` folds every vector of a shard through these codes:
-``_prefix_keys`` counts the prefixes of n-1 codes by their sum and smallest
-codes, column by column, and a fold takes one step per key and last code.
+sweep engine folds every vector of the space through these codes, in one
+pass and in this process: ``_prefix_keys`` counts the prefixes of n-1 codes
+by their sum and smallest codes, column by column, and a fold takes one step
+per key and last code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
-from multiprocessing import Pool
+# no sweep starts a process; Pool stays bound here because bench/layers.py's
+# tracer rebinds multiprocessing.Pool in a package module or raises LookupError
+from multiprocessing import Pool  # noqa: F401
 from typing import Iterator, Sequence
 
 from .exactnum import QPolynomial
@@ -112,10 +114,11 @@ def code_entry(code: int, n: int) -> int:
 NO_CODE = math.inf
 
 
-def _shard_columns(n: int, m: int, first: int) -> list[tuple[int, ...]]:
-    """Per-position code tables of the shard of vectors starting with ``first``."""
-    tail = [tuple(position_code(i, a, n) for a in letters(m)) for i in range(2, n + 1)]
-    return [(position_code(1, first, n),)] + tail
+def _columns(n: int, m: int) -> list[tuple[int, ...]]:
+    """Per-position code tables of every vector of length n, bound m."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [tuple(position_code(i, a, n) for a in letters(m)) for i in range(1, n + 1)]
 
 
 def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, ...], Counter]:
@@ -141,22 +144,20 @@ def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, .
     return last, Counter({(s, *small) if low else s: count for (s, small), count in keys.items()})
 
 
-def _neg_fold(shard) -> list[int]:
-    n, m, first = shard
+def _neg_fold(n: int, m: int) -> list[int]:
     w = n + 1
     counts = [0] * w
-    last, keys = _prefix_keys(_shard_columns(n, m, first), 0)
+    last, keys = _prefix_keys(_columns(n, m), 0)
     for s, count in keys.items():
         for c in last:
             counts[(s + c) % w] += count
     return counts
 
 
-def _neg2_fold(shard) -> list[int]:
-    n, m, first = shard
+def _neg2_fold(n: int, m: int) -> list[int]:
     w = n + 1
     counts = [0] * w
-    last, keys = _prefix_keys(_shard_columns(n, m, first), 1)
+    last, keys = _prefix_keys(_columns(n, m), 1)
     # the smallest code is the smallest letter and its last digit is its
     # sign, so neg2 leaves min(c, lo) out of the sum
     for (s, lo), count in keys.items():
@@ -165,27 +166,11 @@ def _neg2_fold(shard) -> list[int]:
     return counts
 
 
-def _sweep(fold, n: int, m: int, jobs: int) -> list[int]:
-    """Run ``fold`` on one shard (n, m, first) per first letter and add the
-    returned lists element by element in fixed shard order, so the result
-    is the same for any worker count."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    shards = [(n, m, first) for first in letters(m)]
-    workers = min(jobs, len(shards), os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers) as pool:
-            partials = pool.map(fold, shards)
-    else:
-        partials = map(fold, shards)
-    return list(map(sum, zip(*partials)))
-
-
-def total_weight_neg(n: int, m: int, jobs: int = 1) -> QPolynomial:
+def total_weight_neg(n: int, m: int) -> QPolynomial:
     """Brute-force sum of q^neg(v) over all vectors of length n, bound m."""
-    return QPolynomial(_sweep(_neg_fold, n, m, jobs))
+    return QPolynomial(_neg_fold(n, m))
 
 
-def total_weight_neg2(n: int, m: int, jobs: int = 1) -> QPolynomial:
+def total_weight_neg2(n: int, m: int) -> QPolynomial:
     """Brute-force sum of q^neg2(v) over all vectors of length n, bound m."""
-    return QPolynomial(_sweep(_neg2_fold, n, m, jobs))
+    return QPolynomial(_neg2_fold(n, m))

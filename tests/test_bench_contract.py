@@ -4,12 +4,15 @@ The benchmark gates every run on the SHA-256 of each command's stdout
 (``bench/goldens.json``), and its tracer (``bench/layers.py``) rebinds
 package functions by name.  These tests read ``bench/`` and change nothing
 there, so a refactor that changes an output byte, or a name the tracer
-resolves, fails here as well as in the benchmark.
+resolves, fails here as well as in the benchmark.  The ``sweep-par``
+workload's commands (``bench/run.py``) pass ``--jobs 2``, which the sweeps
+accept and ignore: they run in this process and start none.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,15 +27,18 @@ with open(BENCH / "goldens.json", encoding="utf-8") as f:
     GOLDENS = json.load(f)
 
 
-def load_layers():
-    """``bench/layers.py`` as a module of its own, without a bytecode file."""
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+def load_bench(name):
+    """``bench/<name>.py`` as a module of its own, without a bytecode file.
+    It sits in ``sys.modules`` while it runs, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = write_bytecode
+        del sys.modules[spec.name]
     return module
 
 
@@ -49,8 +55,28 @@ def test_bench_golden_command_prints_its_recorded_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[command]
 
 
+def test_bench_parallel_sweeps_print_their_goldens_and_start_no_process(capsys, monkeypatch):
+    run = load_bench("run")
+    started = []
+
+    def no_process(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a sweep started a process")
+
+    monkeypatch.setattr(sigma_vectors, "Pool", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
+    commands = run.WORKLOADS["sweep-par"].commands
+    assert len(commands) == 3 and all(argv[argv.index("--jobs") + 1] == "2" for argv in commands)
+    for argv in commands:
+        code = cli.main(list(argv))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[run.golden_key(argv)]
+    assert started == []
+
+
 def test_bench_tracer_installs_and_uninstalls_cleanly():
-    layers = load_layers()
+    layers = load_bench("layers")
     before = bindings(layers)
     phi = map_b.phi
     tracer = layers.Tracer()

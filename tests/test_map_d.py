@@ -2,7 +2,7 @@
 
 import ast
 import json
-from itertools import product, repeat
+import tracemalloc
 from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,7 +35,7 @@ from worpitzky.map_d import (
     verify_worpitzky_d_q1,
 )
 from worpitzky.signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
-from worpitzky.sigma_vectors import enumerate_vectors, letters, neg2_vec, position_code
+from worpitzky.sigma_vectors import enumerate_vectors, neg2_vec, position_code
 
 
 def test_psi_flip_example():
@@ -483,10 +483,6 @@ def test_census_m0_all_zero():
     assert census.total_weight == 0
 
 
-def test_census_parallel_matches_serial():
-    assert missing_census(3, 2, jobs=2).to_json_dict() == missing_census(3, 2).to_json_dict()
-
-
 def _census_cell(v) -> int:
     """The census cell of v: its psi block, then neg2 within the block."""
     outcome = psi(v)
@@ -495,14 +491,14 @@ def _census_cell(v) -> int:
 
 
 def test_census_fold_classifies_every_vector_as_psi(monkeypatch):
-    # one-vector shards: one column per position, holding v's code alone
+    # one-vector spaces: one column per position, holding v's code alone
     columns = []
-    monkeypatch.setattr(map_d, "_shard_columns", lambda n, m, first: columns)
+    monkeypatch.setattr(map_d, "_columns", lambda n, m: columns)
     for n in range(2, 6):
         for m in range(4):
             for v in enumerate_vectors(n, m):
                 columns[:] = [(position_code(i, a, n),) for i, a in enumerate(v, start=1)]
-                cells = map_d._census_fold((n, m, v[0]))
+                cells = map_d._census_fold(n, m)
                 expected = [0] * len(cells)
                 expected[_census_cell(v)] = 1
                 assert cells == expected, v
@@ -510,14 +506,29 @@ def test_census_fold_classifies_every_vector_as_psi(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_census_fold_tallies_real_shards_as_psi(n):
-    # whole shards, where many prefixes share a key, so each key's count
-    # must reach every cell its last-column letters fold it into
+    # whole vector spaces, where many prefixes share a key, so each key's
+    # count must reach every cell its last-column letters fold it into
     for m in range(4):
-        for first in letters(m):
-            expected = [0] * ((len(MISSING_CASES) + 1) * (n + 1))
-            for v in product((first,), *repeat(letters(m), n - 1)):
-                expected[_census_cell(v)] += 1
-            assert map_d._census_fold((n, m, first)) == expected, (m, first)
+        expected = [0] * ((len(MISSING_CASES) + 1) * (n + 1))
+        for v in enumerate_vectors(n, m):
+            expected[_census_cell(v)] += 1
+        assert map_d._census_fold(n, m) == expected, m
+
+
+def test_census_fold_case_cache_does_not_grow_with_m():
+    # at n = 2 every vector is one step, with 2(2m+1) distinct smallest codes
+    # per position; the fold caches cases by each code's entry class, whose
+    # count does not depend on m (an unbounded cache of raw code pairs
+    # peaked near 51 MB at m = 300)
+    map_d._census_fold(2, 5)  # imports and first-call allocations
+    tracemalloc.start()
+    try:
+        cells = map_d._census_fold(2, 150)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(cells) == 301**2
+    assert peak < 2 * 2**20
 
 
 def test_census_json_schema():

@@ -7,19 +7,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from worpitzky import map_d, sigma_vectors
+from worpitzky import map_d
 from worpitzky.exactnum import QPolynomial
 from worpitzky.map_d import MISSING_CASES, missing_census, psi, verify_balance_d_q
 from worpitzky.sigma_vectors import (
     NO_CODE,
+    _columns,
     _neg2_fold,
     _neg_fold,
     _prefix_keys,
-    _shard_columns,
-    _sweep,
     enumerate_vectors,
     format_vector,
-    letters,
     neg2_vec,
     neg_vec,
     order_key,
@@ -109,27 +107,23 @@ def test_total_weight_neg2_single_entry_is_constant(m):
     assert total_weight_neg2(1, m) == 2 * m + 1
 
 
-def test_parallel_reduction_matches_serial():
-    assert total_weight_neg(3, 2, jobs=2) == total_weight_neg(3, 2)
-    assert total_weight_neg2(3, 2, jobs=3) == total_weight_neg2(3, 2)
-
-
 @pytest.mark.parametrize("fold, stat", [(_neg_fold, neg_vec), (_neg2_fold, neg2_vec)])
 def test_folds_equal_the_per_vector_statistics(fold, stat):
     for n in range(1, 6):
         for m in range(4):
-            for first in range(-m, m + 1):
-                tally = [0] * (n + 1)
-                for v in enumerate_vectors(n, m):
-                    if v[0] == first:
-                        tally[stat(v)] += 1
-                assert fold((n, m, first)) == tally
+            tally = [0] * (n + 1)
+            for v in enumerate_vectors(n, m):
+                tally[stat(v)] += 1
+            assert fold(n, m) == tally
 
 
-# a shard (n, m, first) with n <= 6, m <= 3 and a first letter in -m..m
-_shards = st.integers(1, 6).flatmap(
-    lambda n: st.integers(0, 3).flatmap(lambda m: st.tuples(st.just(n), st.just(m), st.integers(-m, m)))
-)
+# a vector space (n, m) with n <= 6 and m <= 3
+_spaces = st.tuples(st.integers(1, 6), st.integers(0, 3))
+
+
+def _one_first_letter(n, m, first):
+    """The columns of the vectors of length n, bound m, that start with ``first``."""
+    return [(position_code(1, first, n),)] + _columns(n, m)[1:]
 
 
 def _keys_of_every_prefix(columns, low):
@@ -145,16 +139,20 @@ def _keys_of_every_prefix(columns, low):
     return keys
 
 
+# (n, m, first): the vectors of a drawn space that start with one letter
+_starts = _spaces.flatmap(lambda nm: st.tuples(st.just(nm[0]), st.just(nm[1]), st.integers(-nm[1], nm[1])))
+
+
 @settings(max_examples=60, deadline=None)
-@given(shard=_shards, low=st.integers(0, 2))
-@example(shard=(1, 0, 0), low=1)  # an empty prefix: its smallest code is the pad
-@example(shard=(1, 3, -3), low=0)
-@example(shard=(2, 3, 2), low=2)  # a prefix of one code, padded to two
-@example(shard=(6, 3, -1), low=2)
-def test_prefix_keys_count_every_prefix_by_its_key(shard, low):
-    n, m, first = shard
+@given(start=_starts, low=st.integers(0, 2))
+@example(start=(1, 0, 0), low=1)  # an empty prefix: its smallest code is the pad
+@example(start=(1, 3, -3), low=0)
+@example(start=(2, 3, 2), low=2)  # a prefix of one code, padded to two
+@example(start=(6, 3, -1), low=2)
+def test_prefix_keys_count_every_prefix_by_its_key(start, low):
+    n, m, first = start
     assume(n >= 2 or low < 2)  # the census, the only low-2 reader, needs n >= 2
-    columns = _shard_columns(n, m, first)
+    columns = _one_first_letter(n, m, first)
     last, keys = _prefix_keys(columns, low)
     assert last == columns[-1]
     assert keys == _keys_of_every_prefix(columns, low)
@@ -166,88 +164,51 @@ def test_prefix_keys_count_every_prefix_by_its_key(shard, low):
     (2, 2, (position_code(1, -1, 2) % 3, (position_code(1, -1, 2), NO_CODE))),
 ])
 def test_prefix_keys_pad_a_prefix_shorter_than_low(n, low, key):
-    # the shard of vectors starting with -1: its one prefix holds n-1 codes
-    assert _prefix_keys(_shard_columns(n, 1, -1), low)[1] == Counter({key: 1})
+    # the vectors starting with -1: their one prefix holds n-1 codes
+    assert _prefix_keys(_one_first_letter(n, 1, -1), low)[1] == Counter({key: 1})
 
 
 @settings(max_examples=40, deadline=None)
-@given(shard=_shards)
-@example(shard=(1, 0, 0))  # empty prefix: its smallest code is the NO_CODE pad
-@example(shard=(1, 3, -3))
-@example(shard=(2, 3, 2))  # a prefix of one code
-@example(shard=(6, 3, -1))
-def test_folds_count_every_prefix_of_a_drawn_shard(shard):
-    n, m, first = shard
+@given(space=_spaces)
+@example(space=(1, 0))  # empty prefix: its smallest code is the NO_CODE pad
+@example(space=(1, 3))
+@example(space=(2, 3))  # prefixes of one code
+@example(space=(6, 3))
+def test_folds_count_every_prefix_of_a_drawn_shard(space):
+    n, m = space
     neg, neg2 = [0] * (n + 1), [0] * (n + 1)
     # the census's blocks of n+1 cells: one per missing case, then the associated
     census = [0] * ((len(MISSING_CASES) + 1) * (n + 1))
-    for v in itertools.product((first,), *itertools.repeat(letters(m), n - 1)):
+    for v in enumerate_vectors(n, m):
         neg[neg_vec(v)] += 1
         neg2[neg2_vec(v)] += 1
         if n > 1:
             case = psi(v).missing_case
             block = len(MISSING_CASES) if case is None else MISSING_CASES.index(case)
             census[block * (n + 1) + neg2_vec(v)] += 1
-    assert _neg_fold(shard) == neg
-    assert _neg2_fold(shard) == neg2
+    assert _neg_fold(n, m) == neg
+    assert _neg2_fold(n, m) == neg2
     if n > 1:
-        assert map_d._census_fold(shard) == census
-
-
-class _InProcessPool:
-    """Stands in for multiprocessing.Pool: records the worker count and maps
-    in this process, so no worker is started."""
-
-    created: list[int] = []
-
-    def __init__(self, processes):
-        self.created.append(processes)
-
-    def map(self, fn, shards):
-        return [fn(shard) for shard in shards]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-def test_engine_caps_workers_at_shards_and_cpus(monkeypatch):
-    monkeypatch.setattr(sigma_vectors, "Pool", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "created", [])
-    monkeypatch.setattr(sigma_vectors.os, "cpu_count", lambda: 4)
-    serial = _sweep(_neg2_fold, 3, 2, 1)
-    assert _InProcessPool.created == []  # jobs=1 runs in-process
-    assert _sweep(_neg2_fold, 3, 2, 1000) == serial
-    assert _sweep(_neg2_fold, 3, 1, 1000) == _sweep(_neg2_fold, 3, 1, 1)
-    assert _sweep(_neg2_fold, 3, 2, 3) == serial
-    assert _InProcessPool.created == [4, 3, 3]  # cpus, shards (2m+1 = 3), jobs
-    monkeypatch.setattr(sigma_vectors.os, "cpu_count", lambda: 1)
-    assert _sweep(_neg2_fold, 3, 2, 1000) == serial
-    assert _InProcessPool.created == [4, 3, 3]
+        assert map_d._census_fold(n, m) == census
 
 
 @pytest.mark.parametrize("n, m", [(6, 2), (7, 1)])
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_sweeps_equal_brute_sums_over_every_vector(monkeypatch, n, m, jobs):
-    monkeypatch.setattr(sigma_vectors, "Pool", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "created", [])
-    monkeypatch.setattr(sigma_vectors.os, "cpu_count", lambda: 4)
+@pytest.mark.parametrize("calls", [1, 3])
+def test_sweeps_equal_brute_sums_over_every_vector(n, m, calls):
+    # calls > 1: a sweep run again in the same process gives the same sums
     neg, neg2 = [0] * (n + 1), [0] * (n + 1)
     cases = {case: [0] * (n + 1) for case in (*MISSING_CASES, None)}
     for v in enumerate_vectors(n, m):
         neg[neg_vec(v)] += 1
         neg2[neg2_vec(v)] += 1
         cases[psi(v).missing_case][neg2_vec(v)] += 1
-    assert total_weight_neg(n, m, jobs) == QPolynomial(neg)
-    assert total_weight_neg2(n, m, jobs) == QPolynomial(neg2)
-    census = missing_census(n, m, jobs)
-    assert census.counts == {case: sum(cases[case]) for case in MISSING_CASES}
-    assert census.weights == {case: QPolynomial(cases[case]) for case in MISSING_CASES}
-    assert census.associated_count == sum(cases[None])
-    # jobs=3 runs each sweep through the stand-in pool, with one worker per job
-    assert _InProcessPool.created == ([3] * 3 if jobs > 1 else [])
+    for _ in range(calls):
+        assert total_weight_neg(n, m) == QPolynomial(neg)
+        assert total_weight_neg2(n, m) == QPolynomial(neg2)
+        census = missing_census(n, m)
+        assert census.counts == {case: sum(cases[case]) for case in MISSING_CASES}
+        assert census.weights == {case: QPolynomial(cases[case]) for case in MISSING_CASES}
+        assert census.associated_count == sum(cases[None])
 
 
 @pytest.mark.parametrize("n, m", [(14, 1), (10, 2), (8, 3)])
