@@ -16,7 +16,6 @@ effect.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import namedtuple
@@ -202,6 +201,7 @@ def cmd_verify(args) -> int:
     report = IDENTITIES[args.identity].report
     reports = (report(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
     if args.format == "json":  # the bytes of json.dumps({"reports": [...], "pass": ok})
+        import json
         tail = lambda ok: f'], "pass": {json.dumps(ok)}}}\n'  # noqa: E731
         return _write_reports(reports, lambda r: json.dumps(r.to_json_dict()), ", ", '{"reports": [', tail)
     if args.format == "csv":
@@ -264,6 +264,7 @@ def cmd_fibers(args) -> int:
 def cmd_missing(args) -> int:
     census = map_d.missing_census(args.n, args.m)
     if args.format == "json":
+        import json
         print(json.dumps(census.to_json_dict()))
     else:
         for case in map_d.MISSING_CASES:
@@ -282,6 +283,7 @@ def cmd_oeis_check(args) -> int:
     if report.warning:
         print(f"warning: {report.warning}", file=sys.stderr)
     if args.format == "json":
+        import json
         print(json.dumps(report.to_json_dict()))
     else:
         for n, ref, got, ok in report.rows:

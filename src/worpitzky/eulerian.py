@@ -14,20 +14,16 @@ of even-signed permutations with k type-D descents by q^neg2.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, methodcaller, sub
+from typing import NamedTuple
 
 from .exactnum import QPolynomial
 # enumerate_bn/enumerate_dn stay importable from here: bench/test_bench.py reads eulerian.enumerate_dn
 from .signed_perm import SignedPermutation, _elements, enumerate_bn, enumerate_dn  # noqa: F401
 
 
-@dataclass(frozen=True)
-class EulerianRow:
+class EulerianRow(NamedTuple):
     """One triangle row: entries[k] is a polynomial in q (constant for type A)."""
 
     group: str  # "A" | "B" | "D"
@@ -38,6 +34,7 @@ class EulerianRow:
         return tuple(p.at_q1() for p in self.entries)
 
     def to_json(self) -> str:
+        import json
         return json.dumps(
             {
                 "type": self.group,
@@ -47,16 +44,12 @@ class EulerianRow:
         )
 
     def to_csv(self) -> str:
-        """One row per k; columns are powers of q (header included)."""
+        """One row per k; columns are powers of q (header included), as csv.writer writes it."""
         width = max((len(p.coeffs) for p in self.entries), default=0)
         width = max(width, 1)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k"] + [f"q^{j}" for j in range(width)])
-        for k, p in enumerate(self.entries):
-            row = list(p.coeffs) + [0] * (width - len(p.coeffs))
-            writer.writerow([k] + row)
-        return buf.getvalue()
+        rows = [["k"] + [f"q^{j}" for j in range(width)]]
+        rows += [[k, *p.coeffs] + [0] * (width - len(p.coeffs)) for k, p in enumerate(self.entries)]
+        return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
 def _tally(elements, des_of, weight_of, n: int, k_max: int) -> tuple[QPolynomial, ...]:

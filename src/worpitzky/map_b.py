@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import QPolynomial, binom
 from .eulerian import eulerian_row_a, eulerian_row_b_q
@@ -87,8 +87,7 @@ def _json_value(x):
     return x.to_list() if isinstance(x, QPolynomial) else x
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Both sides of one verified identity, with a per-term breakdown."""
 
     identity: str
@@ -97,7 +96,7 @@ class IdentityReport:
     lhs: QPolynomial | int
     rhs: QPolynomial | int
     passed: bool
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = MappingProxyType({})  # read-only, so no report shares a mutable default
     terms: tuple = ()  # (k, binomial factor, row entry, contribution)
 
     def to_json_dict(self) -> dict:

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import compress, product, repeat
 from operator import countOf, itemgetter, mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bernoulli import power_sum, worpitzky_d_lhs
 from .exactnum import ONE_PLUS_Q, QPolynomial, binom
@@ -62,8 +61,7 @@ from .sigma_vectors import (
 MISSING_CASES = ("case1", "case2a", "case2b", "case3")
 
 
-@dataclass(frozen=True)
-class MapOutcome:
+class MapOutcome(NamedTuple):
     """Either an associated even-signed permutation or a missing-case label."""
 
     sigma: SignedPermutation | None
@@ -361,8 +359,7 @@ def missing_weight_closed(n: int, m: int) -> QPolynomial:
     return ONE_PLUS_Q ** (n - 1) * power_sum(n, m)
 
 
-@dataclass(frozen=True)
-class MissingCensus:
+class MissingCensus(NamedTuple):
     """Per-case counts and q-weights of missing vectors vs. closed forms."""
 
     n: int
@@ -370,6 +367,7 @@ class MissingCensus:
     counts: dict[str, int]
     weights: dict[str, QPolynomial]
     associated_count: int
+    closed_forms: dict
 
     @property
     def total_count(self) -> int:
@@ -378,19 +376,6 @@ class MissingCensus:
     @property
     def total_weight(self) -> QPolynomial:
         return sum(self.weights.values(), QPolynomial.zero())
-
-    @cached_property
-    def closed_forms(self) -> dict:
-        """The closed forms in JSON key order: A (case2a), B (case2b plus
-        case3), case1, total and total_weight."""
-        n, m = self.n, self.m
-        return {
-            "A": missing_case2a_closed(n, m),
-            "B": missing_cases2b3_closed(n, m),
-            "case1": missing_case1_closed(n, m),
-            "total": missing_total_closed(n, m),
-            "total_weight": missing_weight_closed(n, m),
-        }
 
     @property
     def passed(self) -> bool:
@@ -460,7 +445,14 @@ def missing_census(n: int, m: int) -> MissingCensus:
     blocks = {case: cells[c * w:(c + 1) * w] for c, case in enumerate(MISSING_CASES)}
     counts = {case: sum(block) for case, block in blocks.items()}
     weights = {case: QPolynomial(block) for case, block in blocks.items()}
-    return MissingCensus(n, m, counts, weights, sum(cells[len(MISSING_CASES) * w:]))
+    closed_forms = {  # in JSON key order; B is case2b plus case3
+        "A": missing_case2a_closed(n, m),
+        "B": missing_cases2b3_closed(n, m),
+        "case1": missing_case1_closed(n, m),
+        "total": missing_total_closed(n, m),
+        "total_weight": missing_weight_closed(n, m),
+    }
+    return MissingCensus(n, m, counts, weights, sum(cells[len(MISSING_CASES) * w:]), closed_forms)
 
 
 # -- printed per-case q-expressions -------------------------------------------

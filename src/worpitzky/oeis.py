@@ -9,15 +9,13 @@ row-major order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib.resources import files
-from typing import Callable
+import os
+from typing import Callable, NamedTuple
 
 from .eulerian import eulerian_row_b_q, eulerian_row_d_q
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     seq_id: str
     fixture: str
     # number of leading values in the fixture stream before the first
@@ -82,12 +80,12 @@ def rows_from_values(
 
 
 def load_fixture(seq_id: str) -> str:
-    spec = SEQUENCES[seq_id]
-    return files("worpitzky").joinpath("data", spec.fixture).read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", SEQUENCES[seq_id].fixture)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
-@dataclass(frozen=True)
-class OeisReport:
+class OeisReport(NamedTuple):
     seq_id: str
     source: str  # "fixture" | "file"
     warning: str | None

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-# no sweep starts a process; Pool stays bound here because bench/layers.py's
-# tracer rebinds multiprocessing.Pool in a package module or raises LookupError
+# no sweep starts a process; Pool, close to half of the package's import time, stays
+# bound because bench/layers.py's tracer rebinds it in a package module or raises LookupError
 from multiprocessing import Pool  # noqa: F401
 from typing import Iterator, Sequence
 

@@ -17,22 +17,19 @@ counted by ``des(group)``:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import gt, itemgetter, mul
 from typing import Iterator
 
 from .sigma_vectors import format_vector, parse_vector
 
 
-@dataclass(frozen=True)
 class SignedPermutation:
-    """A signed permutation in window (one-line) notation."""
+    """A signed permutation in window (one-line) notation, equal by window."""
 
-    window: tuple[int, ...]
+    __slots__ = ("window",)
 
-    def __post_init__(self):
-        window = tuple(self.window)
-        object.__setattr__(self, "window", window)
+    def __init__(self, window):
+        window = tuple(window)
         n = len(window)
         if n == 0:
             raise ValueError("empty window")
@@ -48,14 +45,32 @@ class SignedPermutation:
             if seen[a]:
                 raise ValueError(f"duplicate absolute value {a} at position {pos}")
             seen[a] = True
+        object.__setattr__(self, "window", window)
 
     @classmethod
     def _of(cls, window: tuple[int, ...]) -> "SignedPermutation":
         """Wrap a window that is valid by construction, skipping the checks
-        of ``__post_init__``; outside input goes through the constructor."""
+        of ``__init__``; outside input goes through the constructor."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "window", window)
         return perm
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {name!r}: SignedPermutation is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.window == other.window if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.window)
+
+    def __repr__(self) -> str:
+        return f"SignedPermutation(window={self.window!r})"
+
+    def __reduce__(self):  # pickle and copy through the constructor, not __setattr__
+        return self.__class__, (self.window,)
 
     # -- text format ----------------------------------------------------
 

@@ -1,7 +1,6 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -245,7 +244,7 @@ def test_streamed_verify_output_equals_the_buffered_output(capsys, monkeypatch, 
 
     def report(n, m, **kwargs):
         r = real(n, m, **kwargs)
-        return dataclasses.replace(r, passed=False) if failing and (n, m) == (3, 1) else r
+        return r._replace(passed=False) if failing and (n, m) == (3, 1) else r
 
     monkeypatch.setattr(module, name, report)
     reports = [report(n, m) for n in range(2, 4) for m in range(3)]
@@ -660,6 +659,21 @@ def test_a_closed_stdout_exits_without_a_traceback():
     assert proc.wait(timeout=60) == 1
     # no traceback, and no "Exception ignored" line from the exit-time flush
     assert err == ""
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_csv_or_json():
+    # the JSON writers import json when they run; the modules a bare
+    # interpreter already holds (site hooks) do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def modules_after(statement):
+        argv = [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+        return set(proc.stdout.split())
+
+    added = modules_after("from worpitzky import cli") - modules_after("pass")
+    assert "worpitzky.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "csv", "json"}), sorted(added)
 
 
 def test_oeis_check_passes(capsys):

@@ -37,6 +37,12 @@ def test_type_b_small_rows():
     assert eulerian_row_b_q(2).at_q1() == (1, 6, 1)
 
 
+def test_row_repr_names_its_fields():
+    assert repr(eulerian_row_b_q(2)) == (
+        "EulerianRow(group='B', n=2, entries=(QPolynomial([1]), QPolynomial([1, 4, 1]), QPolynomial([0, 0, 1])))"
+    )
+
+
 def test_type_d_small_rows():
     assert eulerian_row_d_q(2).entries == (
         QPolynomial([1]),

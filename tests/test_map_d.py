@@ -59,6 +59,16 @@ def test_psi_unflipped_association():
     assert not outcome.flipped
 
 
+def test_map_outcome_repr():
+    assert repr(psi((-1, -1), 1)) == (
+        "MapOutcome(sigma=SignedPermutation(window=(-2, -1)), flipped=False, missing_case=None)"
+    )
+    assert repr(psi((-2, 0, 0), 2)) == (
+        "MapOutcome(sigma=SignedPermutation(window=(-2, 3, -1)), flipped=True, missing_case=None)"
+    )
+    assert repr(psi((-1, 1), 1)) == "MapOutcome(sigma=None, flipped=False, missing_case='case1')"
+
+
 def test_psi_needs_length_two():
     with pytest.raises(ValueError):
         psi((1,), 1)

@@ -1,7 +1,9 @@
 """Signed permutations: parsing, descent sets, sign statistics, enumeration."""
 
+import copy
 import itertools
 import math
+import pickle
 from operator import gt
 
 import pytest
@@ -189,9 +191,39 @@ def test_trusted_windows_are_valid(n):
 
 
 def test_invalid_windows_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty window"):
         SignedPermutation(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate absolute value 1 at position 2"):
         SignedPermutation((1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="absolute value 3 at position 2 out of range 1..2"):
         SignedPermutation((2, 3))
+    with pytest.raises(ValueError, match="zero entry at position 2"):
+        SignedPermutation([-1, 0])
+
+
+def test_equality_and_hash_follow_the_window():
+    sigma = SignedPermutation([2, -1, 3])
+    assert sigma.window == (2, -1, 3)
+    for twin in (SignedPermutation((2, -1, 3)), SignedPermutation._of((2, -1, 3))):
+        assert twin == sigma and hash(twin) == hash(sigma)
+    assert len({sigma, SignedPermutation((2, -1, 3)), SignedPermutation((2, 1, 3))}) == 2
+    assert sigma != SignedPermutation((2, 1, 3))
+    assert sigma != (2, -1, 3) and (2, -1, 3) != sigma
+
+
+def test_signed_permutations_are_immutable():
+    sigma = SignedPermutation((2, -1, 3))
+    with pytest.raises(AttributeError):
+        sigma.window = (1, 2, 3)
+    with pytest.raises(AttributeError):
+        del sigma.window
+    with pytest.raises(AttributeError):
+        sigma.extra = 1
+    assert sigma.window == (2, -1, 3)
+    for twin in (pickle.loads(pickle.dumps(sigma)), copy.copy(sigma), copy.deepcopy(sigma)):
+        assert twin == sigma and twin.window == (2, -1, 3)
+
+
+def test_repr_shows_the_window():
+    assert repr(SignedPermutation((2, -1, 3))) == "SignedPermutation(window=(2, -1, 3))"
+    assert repr(SignedPermutation._of((1,))) == "SignedPermutation(window=(1,))"
