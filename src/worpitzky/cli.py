@@ -36,14 +36,16 @@ class UsageError(Exception):
 
 # Per identity: its report call (n, m), made through the module attribute so
 # a patched or rebound library name is the one called; its least n; whether
-# it sweeps the vector space of each (n, m) cell; its rows cost n^4 / row_divisor.
-Identity = namedtuple("Identity", "report least_n sweeps row_divisor")
+# it sweeps the vector space of each (n, m) cell.  Its rows need no bound of
+# their own past MAX_ROW_N: the insertion DP builds every D row 2..50 in
+# about 0.7 s on a 2-CPU Xeon with Python 3.11.7.
+Identity = namedtuple("Identity", "report least_n sweeps")
 IDENTITIES = {
-    "worpitzky-a": Identity(lambda n, m: map_b.verify_worpitzky_a(n, m), 1, False, 8),
-    "worpitzky-b": Identity(lambda n, m: map_b.verify_worpitzky_b(n, m), 1, True, 1),
-    "worpitzky-d": Identity(lambda n, m: map_d.verify_worpitzky_d_q1(n, m), 2, False, 1),
-    "balance-d": Identity(lambda n, m: map_d.verify_balance_d_q(n, m), 2, True, 1),
-    "erratum-d": Identity(lambda n, m: map_d.erratum_report_d(n, m), 2, False, 1),
+    "worpitzky-a": Identity(lambda n, m: map_b.verify_worpitzky_a(n, m), 1, False),
+    "worpitzky-b": Identity(lambda n, m: map_b.verify_worpitzky_b(n, m), 1, True),
+    "worpitzky-d": Identity(lambda n, m: map_d.verify_worpitzky_d_q1(n, m), 2, False),
+    "balance-d": Identity(lambda n, m: map_d.verify_balance_d_q(n, m), 2, True),
+    "erratum-d": Identity(lambda n, m: map_d.erratum_report_d(n, m), 2, False),
 }
 
 # Work bounds of `fibers`, measured as whole commands on a 2-CPU Xeon with
@@ -62,34 +64,27 @@ MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 # under 0.25 s from n = 8 on (`missing --n 10 --m 2`: 0.13 s).
 MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
 
-# Work bound of the Eulerian rows of a verify grid or of oeis-check, one per
-# distinct n: on the same host the transfer DP builds a B or D row in about
-# 0.9 us * n^4 (n = 50: B 5.5-5.8 s, D 5.3-5.9 s) and an A row in an eighth of
-# that, so 10^7 steps take up to about 9 s; every single row (n = 50: 6.25 *
-# 10^6 steps) and the whole worpitzky-a grid 1..50 (8.2 * 10^6) stay admitted.
-MAX_ROW_STEPS = 10**7  # n^4 per B or D row, n^4 / 8 per A row
-
 # Work bound of a verify grid's reports past its rows: a worpitzky-d or
 # erratum-d report sums m powers (bernoulli.power_sum) and n + 1 Eulerian
 # terms.  On the same host the costliest admitted grid, erratum-d at n = 50
-# with m = 0..998, takes about 11 s, 6 s of it the D row; a single report
-# at n = 50 and m near the bound takes about 1 s past its row.
+# with m = 0..998, takes 2.5-2.9 s, under 0.1 s of it the D row; a single
+# report at n = 50 and m near the bound takes about 0.7 s past its row.
 MAX_M_TERMS = 5 * 10**5  # m + 1 per report, summed over a verify grid
 
 
 def _check_args(args) -> None:
     """Post-validation argparse cannot express, one branch per command: the
     job count, n >= 2 wherever type D is involved, m >= 0 wherever m is, and
-    the bounds on rows, brute sweeps and fibers work, before any work."""
+    the bounds on rows, m terms, brute sweeps and fibers work, before any work."""
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise UsageError(f"need a job count >= 1, got {args.jobs}")
     if args.command == "verify":
-        _, least_n, sweeps, row_divisor = IDENTITIES[args.identity]
-        _check_grid(args.identity, least_n, sweeps, args.n_range, args.m_range, row_divisor)
+        _, least_n, sweeps = IDENTITIES[args.identity]
+        _check_grid(args.identity, least_n, sweeps, args.n_range, args.m_range, m_terms=True)
     elif args.command == "missing":
         _check_grid("missing", 2, True, (args.n, args.n), (args.m, args.m))
-    elif args.command == "oeis-check":
-        _check_rows(args.seq, oeis.SEQUENCES[args.seq].min_n, args.max_n)
+    elif args.command == "oeis-check" and args.max_n > MAX_ROW_N:
+        raise UsageError(f"n must be <= {MAX_ROW_N}")
     elif args.command == "eulerian" and args.type == "D" and args.n < 2:
         raise UsageError("eulerian requires n >= 2")
     elif args.command == "map" and args.m < 0:
@@ -111,36 +106,26 @@ def _check_args(args) -> None:
             )
 
 
-def _check_grid(name: str, least_n: int, sweeps: bool, n_range, m_range, row_divisor: int = 0) -> None:
+def _check_grid(name: str, least_n: int, sweeps: bool, n_range, m_range, m_terms: bool = False) -> None:
     """Refuse a verify or missing (n, m) grid: n below least_n, n < 1 or m < 0,
-    verify's rows and m terms (else n past MAX_ROW_N), then the sweep."""
+    n past MAX_ROW_N, verify's m terms, then the sweep."""
     (n_lo, n_hi), (m_lo, m_hi) = n_range, m_range
     if n_lo < least_n and least_n > 1:  # n < 1 alone gets the message below
         raise UsageError(f"{name} requires n >= {least_n}")
     if n_lo < 1 or m_lo < 0:
         raise UsageError("need n >= 1 and m >= 0")
-    if row_divisor:
-        _check_rows(name, n_lo, n_hi, row_divisor)
+    if n_hi > MAX_ROW_N:
+        raise UsageError(f"n must be <= {MAX_ROW_N}")
+    if m_terms:
         # m + 1 summed over the m-range in closed form, once per n
         terms = (n_hi - n_lo + 1) * (m_lo + m_hi + 2) * (m_hi - m_lo + 1) // 2
         if terms > MAX_M_TERMS:
             raise UsageError(f"{name} sums m + 1 to {terms} over the grid, at most {MAX_M_TERMS}")
-    elif n_hi > MAX_ROW_N:
-        raise UsageError(f"n must be <= {MAX_ROW_N}")
     if sweeps:
         # n <= MAX_ROW_N, and any() stops at the first partial sum past the bound
         sizes = ((2 * m + 1) ** n for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
         if any(total > MAX_SWEEP_VECTORS for total in accumulate(sizes)):
             raise UsageError(f"{name} sweeps more than {MAX_SWEEP_VECTORS} vectors")
-
-
-def _check_rows(name: str, n_lo: int, n_hi: int, row_divisor: int = 1) -> None:
-    """Refuse rows n_lo..n_hi past MAX_ROW_N, or past MAX_ROW_STEPS in all."""
-    if n_hi > MAX_ROW_N:
-        raise UsageError(f"n must be <= {MAX_ROW_N}")
-    steps = sum(n**4 for n in range(n_lo, n_hi + 1)) // row_divisor
-    if steps > MAX_ROW_STEPS:
-        raise UsageError(f"{name} builds rows of about {steps} steps, at most {MAX_ROW_STEPS}")
 
 
 def parse_range(text: str) -> tuple[int, int]:

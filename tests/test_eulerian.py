@@ -1,15 +1,17 @@
 """Eulerian triangle rows of types A, B, D and their q-refinements."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from worpitzky.eulerian import (
     MAX_ROW_N,
-    _transfer_row,
+    _insertion_row,
     enumerated_row,
     eulerian_row,
     eulerian_row_a,
@@ -71,7 +73,7 @@ def test_type_b_against_inclusion_exclusion(n):
     assert eulerian_row_b_q(n).at_q1() == tuple(closed(k) for k in range(n + 1))
 
 
-@pytest.mark.parametrize("n", [*range(13, 21), 30])
+@pytest.mark.parametrize("n", [*range(13, 21), 30, MAX_ROW_N])
 def test_rows_against_the_closed_form_generating_functions(n):
     # B_n(t, q) = sum_k t^k sum_{j <= k} (-1)^(k-j) C(n+1, k-j) (1 + (1+q) j)^n
     powers = [QPolynomial((1 + j, j)) ** n for j in range(n + 1)]
@@ -121,7 +123,7 @@ def test_rows_above_the_bound_are_refused_before_any_work():
         with pytest.raises(ValueError, match="n must be <= 50"):
             eulerian_row(group, 51)
         with pytest.raises(ValueError, match="n must be <= 50"):
-            _transfer_row(group, 51)
+            _insertion_row(group, 51)
         with pytest.raises(ValueError, match="n must be <= 50"):
             enumerated_row(group, 51)
     assert eulerian_row_d_q.cache_info().currsize == before
@@ -158,3 +160,39 @@ def test_transfer_dp_against_closed_forms_beyond_the_oracle(n):
         rhs, _ = rhs_eulerian_sum(eulerian_row_b_q(n).entries, n, m)
         assert rhs == QPolynomial((1 + m, m)) ** n
         assert verify_worpitzky_d_q1(n, m).passed
+
+
+# SHA-256 of eulerian_row(group, n).to_json() as the rank-state transfer DP
+# built them, before the insertion DP replaced it; beyond n = 7 nothing else
+# pins the type-D q-coefficients
+ROW_DIGESTS = {
+    ("B", 8): "7708d037600c12ad757bed4328ddf165eecc928d08278a64b9bfb45da15cc12e",
+    ("B", 12): "eab99219942e51b178843aa53979c60eb4cb06b65783b579bf689f425e5cada7",
+    ("B", 20): "91b5770fdfd3e3bf581fa4a350cdced3ba4654d6e2b7540e1a03984dab886b1e",
+    ("B", 30): "db96b64c6bbee5789a29717dee38a73ea843eba3ee60a8729c20de10efe39260",
+    ("B", 50): "631afa51c5dfc0ab20797be4d6fd10f715cdb0000303ae208eb7555cf7ab093f",
+    ("D", 8): "8879bfc725579ee505ddad99774505ecee8817104e0ab96a62bd247f17a34067",
+    ("D", 12): "ed701aa109b2ec94de41dbc6a18285faa7d4ac235f540b0508e4f713aa80f3c0",
+    ("D", 20): "ac394cb2dffbf13234fb9f2e8fc892d8485f846fa419cae6d8031559b94aa87e",
+    ("D", 30): "551737f46c09a9665fd12ac814a3e77359d3199958bdbca349d3473cf7be683c",
+    ("D", 50): "1fe4003c0969d50cfcd69f550205f9e7a0f5ea78151b3061c41d88f88cd23753",
+    ("A", 50): "d51fb0ec5dae2487ae72c346dcd5a74ae4d7f4603d091da79ecdf60ff65b352c",
+}
+
+
+@pytest.mark.parametrize("group,n", ROW_DIGESTS)
+def test_large_rows_equal_the_recorded_digests(group, n):
+    digest = hashlib.sha256(eulerian_row(group, n).to_json().encode()).hexdigest()
+    assert digest == ROW_DIGESTS[group, n]
+
+
+def test_the_largest_d_row_builds_in_little_memory():
+    # the rank-state DP peaked at 60-79 MB here; the insertion DP at about 1 MB
+    tracemalloc.start()
+    try:
+        row = _insertion_row("D", MAX_ROW_N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row == eulerian_row_d_q(MAX_ROW_N)
+    assert peak < 8 * 10**6
