@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -730,6 +731,22 @@ def test_oeis_check_admits_rows_up_to_the_bound(seq):
     # every row up to MAX_ROW_N is admitted, 35 and past included
     for max_n in ("35", str(cli.MAX_ROW_N)):
         cli._check_args(cli.build_parser().parse_args(["oeis-check", "--seq", seq, "--max-n", max_n]))
+
+
+@pytest.mark.parametrize(
+    "seq,order", [("A060187", lambda n: 2**n), ("A262226", lambda n: 2 ** (n - 1))], ids=["A060187", "A262226"]
+)
+def test_oeis_check_runs_rows_past_35_against_a_bfile(capsys, tmp_path, seq, order):
+    # rows to n = 35 are built and checked end to end; each row sums to |B_n| or |D_n|
+    spec = oeis.SEQUENCES[seq]
+    rows = [spec.computed_row(n) for n in range(spec.min_n, 36)]
+    assert [sum(row) for row in rows] == [order(n) * math.factorial(n) for n in range(spec.min_n, 36)]
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate((v for row in rows for v in row), 1)))
+    code, out, err = run(capsys, "oeis-check", "--seq", seq, "--max-n", "35", "--bfile", str(bfile))
+    lines = out.splitlines()
+    assert code == 0 and err == "" and len(lines) == len(rows)
+    assert lines[-1].startswith(f"{seq} n=35: ok reference=[1, ")
 
 
 def test_oeis_check_missing_bfile_is_usage_error(capsys, tmp_path):
