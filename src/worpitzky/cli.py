@@ -8,9 +8,9 @@ cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
 also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, a law-0
 window of ``map_d.fiber_blocks`` from a template of its (0, 0, pass) text.
-The vector sweeps of ``verify`` and ``missing`` run in one pass in this
-process; their --jobs flag is still accepted and checked (>= 1), and has no
-effect.
+The vector sweeps run in one pass in this process (--jobs has no effect).
+Oversize work exits 2 before it starts: n past MAX_ROW_N, a ``verify`` or
+``missing`` grid past MAX_STEPS, ``fibers`` past its vector or group bound.
 """
 
 from __future__ import annotations
@@ -27,25 +27,40 @@ from operator import attrgetter, itemgetter
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
 from .signed_perm import SignedPermutation
-from .sigma_vectors import format_vector, parse_vector
+from .sigma_vectors import fold_steps, format_vector, parse_vector
 
 
 class UsageError(Exception):
     pass
 
 
+# Work bound of a verify or missing grid, summed over its (n, m) cells: a
+# fold's steps (sigma_vectors.fold_steps) and n (50 + m/4) steps per report.
+# On a 2-CPU Xeon with Python 3.11.7 a fold step took 0.28-0.85 us, and a
+# report past its fold 4-1,400 us from n = 2 to 50 plus up to 3.2 us per
+# unit of m.  `missing --n 2 --m 1580`, the slowest admitted, is 9,995,972 steps.
+MAX_STEPS = 10**7
+
+
+def _report_steps(n: int, m: int) -> int:
+    return n * (200 + m) // 4
+
+
+def _folded(low: int):
+    return lambda n, m: fold_steps(n, m, low) + _report_steps(n, m)
+
+
 # Per identity: its report call (n, m), made through the module attribute so
-# a patched or rebound library name is the one called; its least n; whether
-# it sweeps the vector space of each (n, m) cell.  Its rows need no bound of
-# their own past MAX_ROW_N: the insertion DP builds every D row 2..50 in
-# about 0.7 s on a 2-CPU Xeon with Python 3.11.7.
-Identity = namedtuple("Identity", "report least_n sweeps")
+# a patched or rebound library name is the one called; its least n; its
+# steps at (n, m).  Its rows need no bound of their own past MAX_ROW_N: the
+# insertion DP builds every D row 2..50 in about 0.7 s on the same host.
+Identity = namedtuple("Identity", "report least_n steps")
 IDENTITIES = {
-    "worpitzky-a": Identity(lambda n, m: map_b.verify_worpitzky_a(n, m), 1, False),
-    "worpitzky-b": Identity(lambda n, m: map_b.verify_worpitzky_b(n, m), 1, True),
-    "worpitzky-d": Identity(lambda n, m: map_d.verify_worpitzky_d_q1(n, m), 2, False),
-    "balance-d": Identity(lambda n, m: map_d.verify_balance_d_q(n, m), 2, True),
-    "erratum-d": Identity(lambda n, m: map_d.erratum_report_d(n, m), 2, False),
+    "worpitzky-a": Identity(lambda n, m: map_b.verify_worpitzky_a(n, m), 1, _report_steps),
+    "worpitzky-b": Identity(lambda n, m: map_b.verify_worpitzky_b(n, m), 1, _folded(0)),
+    "worpitzky-d": Identity(lambda n, m: map_d.verify_worpitzky_d_q1(n, m), 2, _report_steps),
+    "balance-d": Identity(lambda n, m: map_d.verify_balance_d_q(n, m), 2, _folded(1)),
+    "erratum-d": Identity(lambda n, m: map_d.erratum_report_d(n, m), 2, _report_steps),
 }
 
 # Work bounds of `fibers`, measured as whole commands on a 2-CPU Xeon with
@@ -53,36 +68,23 @@ IDENTITIES = {
 # counts about 0.6 M vectors/s (5^8 vectors: 0.61-0.70 s); all-sigma reports
 # run at about 0.9 M/s where most laws are 0 (B_7 at m=1: 0.64-0.74 s) and
 # 0.4 M/s at m=2 with JSON vectors, the largest admitted (1.5-1.8 s); B_8
-# would be 16 times B_7.
+# would be 16 times B_7.  The vector bound is also the memory bound of
+# map_d._images, whose _code_case cache is keyed by raw code pairs
+# (`fibers --type D --n 2 --m 353 --sigma 1,2` peaks at 69 MB).
 MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
 MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
 
-# Work bound of `missing` and of the worpitzky-b and balance-d grids.  Folds
-# step once per (n-1)-prefix key and last letter, so small n is the slowest:
-# whole `missing` commands near the bound took about 9 s at n = 2 (m = 1580,
-# the slowest admitted sweep), 8 s at n = 3 (m = 107), 1 s at n = 4 and
-# under 0.25 s from n = 8 on (`missing --n 10 --m 2`: 0.13 s).
-MAX_SWEEP_VECTORS = 10**7  # (2m+1)^n, summed over a verify grid
-
-# Work bound of a verify grid's reports past its rows: a worpitzky-d or
-# erratum-d report sums m powers (bernoulli.power_sum) and n + 1 Eulerian
-# terms.  On the same host the costliest admitted grid, erratum-d at n = 50
-# with m = 0..998, takes 2.5-2.9 s, under 0.1 s of it the D row; a single
-# report at n = 50 and m near the bound takes about 0.7 s past its row.
-MAX_M_TERMS = 5 * 10**5  # m + 1 per report, summed over a verify grid
-
 
 def _check_args(args) -> None:
-    """Post-validation argparse cannot express, one branch per command: the
-    job count, n >= 2 wherever type D is involved, m >= 0 wherever m is, and
-    the bounds on rows, m terms, brute sweeps and fibers work, before any work."""
+    """Post-validation argparse cannot express, one branch per command, before
+    any work: the job count, n and m floors, and the rows, steps and fibers bounds."""
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise UsageError(f"need a job count >= 1, got {args.jobs}")
     if args.command == "verify":
-        _, least_n, sweeps = IDENTITIES[args.identity]
-        _check_grid(args.identity, least_n, sweeps, args.n_range, args.m_range, m_terms=True)
+        _, least_n, steps = IDENTITIES[args.identity]
+        _check_grid(args.identity, least_n, steps, args.n_range, args.m_range)
     elif args.command == "missing":
-        _check_grid("missing", 2, True, (args.n, args.n), (args.m, args.m))
+        _check_grid("missing", 2, _folded(2), (args.n, args.n), (args.m, args.m))
     elif args.command == "oeis-check" and args.max_n > MAX_ROW_N:
         raise UsageError(f"n must be <= {MAX_ROW_N}")
     elif args.command == "eulerian" and args.type == "D" and args.n < 2:
@@ -106,9 +108,9 @@ def _check_args(args) -> None:
             )
 
 
-def _check_grid(name: str, least_n: int, sweeps: bool, n_range, m_range, m_terms: bool = False) -> None:
+def _check_grid(name: str, least_n: int, steps, n_range, m_range) -> None:
     """Refuse a verify or missing (n, m) grid: n below least_n, n < 1 or m < 0,
-    n past MAX_ROW_N, verify's m terms, then the sweep."""
+    n past MAX_ROW_N, then ``steps`` summed over the grid past MAX_STEPS."""
     (n_lo, n_hi), (m_lo, m_hi) = n_range, m_range
     if n_lo < least_n and least_n > 1:  # n < 1 alone gets the message below
         raise UsageError(f"{name} requires n >= {least_n}")
@@ -116,25 +118,19 @@ def _check_grid(name: str, least_n: int, sweeps: bool, n_range, m_range, m_terms
         raise UsageError("need n >= 1 and m >= 0")
     if n_hi > MAX_ROW_N:
         raise UsageError(f"n must be <= {MAX_ROW_N}")
-    if m_terms:
-        # m + 1 summed over the m-range in closed form, once per n
-        terms = (n_hi - n_lo + 1) * (m_lo + m_hi + 2) * (m_hi - m_lo + 1) // 2
-        if terms > MAX_M_TERMS:
-            raise UsageError(f"{name} sums m + 1 to {terms} over the grid, at most {MAX_M_TERMS}")
-    if sweeps:
-        # n <= MAX_ROW_N, and any() stops at the first partial sum past the bound
-        sizes = ((2 * m + 1) ** n for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
-        if any(total > MAX_SWEEP_VECTORS for total in accumulate(sizes)):
-            raise UsageError(f"{name} sweeps more than {MAX_SWEEP_VECTORS} vectors")
+    # a report is 50 steps or more, so the sum passes the bound within
+    # MAX_STEPS / 50 cells; a huge estimate is stated by a power of 2 below it
+    cells = (steps(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
+    for total in accumulate(cells):
+        if total > MAX_STEPS:
+            shown = total if total.bit_length() <= 64 else f"2^{total.bit_length() - 1}"
+            raise UsageError(f"{name} takes {shown} steps or more, at most {MAX_STEPS}")
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
+        lo, hi = map(int, text.split(".."))
+    except ValueError:  # not two parts, or a part that is no int
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
@@ -253,9 +249,7 @@ def cmd_missing(args) -> int:
         print(json.dumps(census.to_json_dict()))
     else:
         for case in map_d.MISSING_CASES:
-            print(
-                f"{case}: count={census.counts[case]} weight={census.weights[case]}"
-            )
+            print(f"{case}: count={census.counts[case]} weight={census.weights[case]}")
         print(f"total: count={census.total_count} weight={census.total_weight}")
         line = "closed forms: case1={case1} A={A} B={B} total={total} weight={total_weight}"
         print(line.format_map(census.closed_forms))
@@ -291,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fmt = {"choices": ["text", "json", "csv"], "default": "text"}
     text_json = {"choices": ["text", "json"], "default": "text"}
+    jobs = {"type": int, "help": "accepted (>= 1), without effect: every sweep runs in this process"}
 
     p = sub.add_parser("eulerian", help="print one Eulerian triangle row")
     p.add_argument("--type", required=True, choices=["A", "B", "D"])
@@ -302,14 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify an identity over an (n, m) grid")
     p.add_argument("--identity", required=True, choices=list(IDENTITIES))
     p.add_argument("--n-range", required=True, type=parse_range, metavar="A..B")
-    p.add_argument(
-        "--m-range",
-        required=True,
-        type=parse_range,
-        metavar="C..D",
-        help="m grid (plays the role of k for worpitzky-a)",
-    )
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--m-range", required=True, type=parse_range, metavar="C..D", help="m grid (plays the role of k for worpitzky-a)")
+    p.add_argument("--jobs", **jobs)
     p.add_argument("--format", **fmt)
     p.set_defaults(fn=cmd_verify)
 
@@ -324,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--sigma", help="single permutation (comma-separated window)")
-    p.add_argument(
-        "--vectors", action="store_true", help="include vectors in all-sigma reports"
-    )
+    p.add_argument("--vectors", action="store_true", help="include vectors in all-sigma reports")
     p.add_argument("--format", **text_json)
     p.set_defaults(fn=cmd_fibers)
 
     p = sub.add_parser("missing", help="census of vectors without a type-D partner")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", **jobs)
     p.add_argument("--format", **text_json)
     p.set_defaults(fn=cmd_missing)
 
@@ -350,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_dash_values(argv: list[str]) -> list[str]:
     """Turn ``--vector -2,0,0`` into ``--vector=-2,0,0`` so argparse does not
     mistake a value with a leading minus for an option."""
-    out = []
-    i = 0
+    out, i = [], 0
     while i < len(argv):
         tok = argv[i]
         if tok in ("--vector", "--sigma", "--n-range", "--m-range") and i + 1 < len(argv):

@@ -144,6 +144,20 @@ def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, .
     return last, Counter({(s, *small) if low else s: count for (s, small), count in keys.items()})
 
 
+def fold_steps(n: int, m: int, low: int) -> int:
+    """An upper bound on a fold's steps over ``_prefix_keys(_columns(n, m),
+    low)``, one per key and next code: L sum_{k<n} min(L^k, w C(kL+low, low))
+    with L = 2m+1, w = n+1, as k columns leave at most L^k keys and w code
+    sums times C(kL+low, low) choices of low smallest codes, NO_CODE too."""
+    L, w = 2 * m + 1, n + 1
+    top = w * math.comb(n * L + low, low)  # caps L^k, so no power grows with m
+    total, keys = 0, 1
+    for k in range(n):
+        total += min(keys, w * math.comb(k * L + low, low))
+        keys = min(keys * L, top)
+    return L * total
+
+
 def _neg_fold(n: int, m: int) -> list[int]:
     w = n + 1
     counts = [0] * w

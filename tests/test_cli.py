@@ -1,16 +1,21 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import multiprocessing.process
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from worpitzky import cli, map_b, map_d, oeis
 from worpitzky.cli import main
@@ -591,10 +596,8 @@ def test_missing_json(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        "missing --n 14 --m 4",
         "missing --n 1000000000 --m 1",
         "missing --n 1000000000 --m 0",
-        "verify --identity worpitzky-b --n-range 14..14 --m-range 4..4",
         "verify --identity balance-d --n-range 2..50 --m-range 0..1000000000000",
         "verify --identity worpitzky-a --n-range 2..2 --m-range 0..100000",
         "verify --identity worpitzky-d --n-range 2..2 --m-range 0..100000",
@@ -616,35 +619,128 @@ def test_sweeps_past_the_bound_are_refused_before_any_work(capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "argv,vectors",
+    "argv",
     [
-        ("missing --n 2 --m 1", 9),
-        ("verify --identity worpitzky-b --n-range 1..2 --m-range 0..1", 1 + 3 + 1 + 9),
-        ("verify --identity balance-d --n-range 2..3 --m-range 1..1", 9 + 27),
+        "missing --n 14 --m 4",
+        "verify --identity worpitzky-b --n-range 14..14 --m-range 4..4",
+        "missing --n 2 --m 1580",
+        "missing --n 3 --m 107",
+        "verify --identity erratum-d --n-range 50..50 --m-range 0..998",
+        "verify --identity balance-d --n-range 2..14 --m-range 1..1",
     ],
 )
-def test_the_sweep_bound_sums_the_vector_spaces_of_the_grid(capsys, monkeypatch, argv, vectors):
-    monkeypatch.setattr(cli, "MAX_SWEEP_VECTORS", vectors)
-    assert run(capsys, *argv.split())[0] == 0
-    monkeypatch.setattr(cli, "MAX_SWEEP_VECTORS", vectors - 1)
-    code, out, err = run(capsys, *argv.split())
-    assert code == 2 and out == "" and err.startswith("error: ")
+def test_grids_the_folds_make_cheap_are_admitted(argv):
+    # (2m+1)^n is 2.3e13 vectors at (14, 4), but the folds take far fewer steps
+    cli._check_args(cli.build_parser().parse_args(argv.split()))
 
 
 @pytest.mark.parametrize(
-    "argv,terms",
+    "argv,steps",
     [
-        ("verify --identity worpitzky-a --n-range 1..1 --m-range 0..3", 1 + 2 + 3 + 4),
-        ("verify --identity worpitzky-d --n-range 2..3 --m-range 1..2", 2 * (2 + 3)),
-        ("verify --identity erratum-d --n-range 2..2 --m-range 5..5", 6),
+        # fold steps, L = 2m+1 times the keys after 0..n-1 columns, plus
+        # n (200 + m) // 4 report steps per (n, m) cell
+        ("missing --n 2 --m 1", 3 * (1 + 3) + 100),
+        ("verify --identity worpitzky-b --n-range 1..2 --m-range 0..1", (1 + 50) + (3 + 50) + (2 + 100) + (3 * (1 + 3) + 100)),
+        ("verify --identity balance-d --n-range 2..3 --m-range 1..1", (3 * (1 + 3) + 100) + (3 * (1 + 3 + 9) + 150)),
+        ("verify --identity worpitzky-a --n-range 1..1 --m-range 0..3", 4 * 50),
+        ("verify --identity worpitzky-d --n-range 2..3 --m-range 1..2", 100 + 101 + 150 + 151),
+        ("verify --identity erratum-d --n-range 2..2 --m-range 5..5", 102),
     ],
 )
-def test_the_m_bound_sums_m_plus_one_over_the_grid(capsys, monkeypatch, argv, terms):
-    monkeypatch.setattr(cli, "MAX_M_TERMS", terms)
+def test_the_step_bound_sums_the_steps_of_the_grid(capsys, monkeypatch, argv, steps):
+    monkeypatch.setattr(cli, "MAX_STEPS", steps)
     assert run(capsys, *argv.split())[0] == 0
-    monkeypatch.setattr(cli, "MAX_M_TERMS", terms - 1)
+    monkeypatch.setattr(cli, "MAX_STEPS", steps - 1)
     code, out, err = run(capsys, *argv.split())
-    assert code == 2 and out == "" and err.startswith("error: ")
+    name = argv.split()[2] if argv.startswith("verify") else "missing"
+    assert code == 2 and out == ""
+    assert err == f"error: {name} takes {steps} steps or more, at most {steps - 1}\n"
+
+
+def test_balance_d_at_n_50_runs_end_to_end(capsys):
+    # a brute q-weight sweep of 3^50 vectors, folded in about 0.3 s
+    code, out, err = run(capsys, "verify", "--identity", "balance-d", "--n-range", "50..50", "--m-range", "1..1")
+    assert code == 0 and err == ""
+    assert out.startswith("balance-d n=50 m=1: PASS  lhs=") and out.count("\n") == 1
+
+
+# small ints most often, then huge and negative ones and text no int parses from
+_small = st.integers(-1, 6)
+_ints = st.one_of(_small, _small, _small, st.integers(-10**40, 10**40))
+_int_texts = st.one_of(*[_ints.map(str)] * 3, st.sampled_from(["", "x", "1.5", "-", "1e3", "9" * 5000]))
+_ranges = st.one_of(
+    st.tuples(_ints, _ints).map(lambda ab: "{}..{}".format(*sorted(ab))),
+    st.tuples(_ints, _ints).map(lambda ab: f"{ab[0]}..{ab[1]}"),  # empty where a > b
+    st.sampled_from(["", "..", "1..", "..2", "a..b", "1..2..3", "5"]),
+)
+_vectors = st.one_of(
+    st.lists(_ints, max_size=6).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["1,,2", "x", ",", "1, -2", "--1"]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one subcommand: its choices valid, its numbers, ranges and
+    vectors drawn valid or not."""
+    def flag(name, values, optional=False):
+        return [] if optional and draw(st.booleans()) else [name, draw(values)]
+
+    def switch(name):
+        return [name] if draw(st.booleans()) else []
+
+    signed, text_json = st.sampled_from("BD"), st.sampled_from(["text", "json"])
+    command = draw(st.sampled_from(["eulerian", "verify", "map", "fibers", "missing", "oeis-check"]))
+    if command == "eulerian":
+        rest = flag("--type", st.sampled_from("ABD")) + flag("--n", _int_texts) + switch("--q")
+        rest += flag("--format", st.sampled_from(["text", "json", "csv"]), True)
+    elif command == "verify":
+        rest = flag("--identity", st.sampled_from(list(cli.IDENTITIES)))
+        rest += flag("--n-range", _ranges) + flag("--m-range", _ranges) + flag("--jobs", _int_texts, True)
+        rest += flag("--format", st.sampled_from(["text", "json", "csv"]), True)
+    elif command == "map":
+        rest = flag("--type", signed) + flag("--m", _int_texts) + flag("--vector", _vectors)
+    elif command == "fibers":
+        rest = flag("--type", signed) + flag("--n", _int_texts) + flag("--m", _int_texts)
+        rest += flag("--sigma", _vectors, True) + switch("--vectors") + flag("--format", text_json, True)
+    elif command == "missing":
+        rest = flag("--n", _int_texts) + flag("--m", _int_texts) + flag("--jobs", _int_texts, True)
+        rest += flag("--format", text_json, True)
+    else:
+        rest = flag("--seq", st.sampled_from(sorted(oeis.SEQUENCES))) + flag("--max-n", _int_texts)
+        rest += flag("--format", text_json, True)
+    return [command, *rest]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_any_argv_exits_0_1_or_2_with_one_error_line_and_starts_no_process(argv):
+    # test-local bounds, so that every admitted draw is cheap
+    started = []
+
+    def no_process(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a command started a process")
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(cli, "MAX_STEPS", 2000)
+        mp.setattr(cli, "MAX_FIBER_VECTORS", 500)
+        mp.setattr(cli, "MAX_FIBER_REPORTS", 400)
+        for module, name in ((os, "fork"), (os, "posix_spawn"), (os, "posix_spawnp"), (subprocess, "Popen")):
+            mp.setattr(module, name, no_process)
+        mp.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        elapsed = time.perf_counter() - start
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2) and started == []
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    assert elapsed < (0.5 if code == 2 else 5)
 
 
 def test_a_closed_stdout_exits_without_a_traceback():

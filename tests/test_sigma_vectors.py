@@ -1,6 +1,7 @@
 """Alphabet order, vector statistics and total q-weights."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from worpitzky.sigma_vectors import (
     _neg_fold,
     _prefix_keys,
     enumerate_vectors,
+    fold_steps,
     format_vector,
     neg2_vec,
     neg_vec,
@@ -166,6 +168,22 @@ def test_prefix_keys_count_every_prefix_by_its_key(start, low):
 def test_prefix_keys_pad_a_prefix_shorter_than_low(n, low, key):
     # the vectors starting with -1: their one prefix holds n-1 codes
     assert _prefix_keys(_one_first_letter(n, 1, -1), low)[1] == Counter({key: 1})
+
+
+@pytest.mark.parametrize("low", [0, 1, 2])
+def test_fold_steps_never_under_count_the_keys_times_letters(low):
+    # the distinct keys after k = 0..n-1 columns, the empty prefix's one key
+    # among them, each met by the 2m+1 codes of the next column
+    for n, m in itertools.product(range(1, 7), range(4)):
+        L, w = 2 * m + 1, n + 1
+        columns = _columns(n, m)
+        keys = [
+            len({(sum(p) % w, tuple(sorted(p + (NO_CODE,) * low)[:low])) for p in itertools.product(*columns[:k])})
+            for k in range(n)
+        ]
+        assert fold_steps(n, m, low) >= sum(keys) * L
+        # the capped powers change nothing
+        assert fold_steps(n, m, low) == L * sum(min(L**k, w * math.comb(k * L + low, low)) for k in range(n))
 
 
 @settings(max_examples=40, deadline=None)
