@@ -9,8 +9,8 @@ Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
 also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, a law-0
 window of ``map_d.fiber_blocks`` from a template of its (0, 0, pass) text.
 The vector sweeps run in one pass in this process (--jobs has no effect).
-Oversize work exits 2 before it starts: n past MAX_ROW_N, a ``verify`` or
-``missing`` grid past MAX_STEPS, ``fibers`` past its vector or group bound.
+Oversize work exits 2 before it starts: n past MAX_ROW_N, or a ``verify`` or
+``missing`` grid or a ``fibers`` command past MAX_STEPS.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import factorial
+from math import comb, factorial
 from operator import attrgetter, itemgetter
 
 from . import map_b, map_d, oeis
@@ -63,21 +63,23 @@ IDENTITIES = {
     "erratum-d": Identity(lambda n, m: map_d.erratum_report_d(n, m), 2, _report_steps),
 }
 
-# Work bounds of `fibers`, measured as whole commands on a 2-CPU Xeon with
-# Python 3.11.7 (a host whose speed varied by up to 2x): a --sigma report
-# counts about 0.6 M vectors/s (5^8 vectors: 0.61-0.70 s); all-sigma reports
-# run at about 0.9 M/s where most laws are 0 (B_7 at m=1: 0.64-0.74 s) and
-# 0.4 M/s at m=2 with JSON vectors, the largest admitted (1.5-1.8 s); B_8
-# would be 16 times B_7.  The vector bound is also the memory bound of
-# map_d._images, whose _code_case cache is keyed by raw code pairs
-# (`fibers --type D --n 2 --m 353 --sigma 1,2` peaks at 69 MB).
-MAX_FIBER_VECTORS = 5 * 10**5  # (2m+1)^n
-MAX_FIBER_REPORTS = 10**6  # |B_n| = 2^n n!, |D_n| = 2^(n-1) n!
+# Steps of `fibers` at (n, m), priced from whole commands on the same host.  A
+# --sigma report pays 4 per vector of its image pass (0.7-1.8 us each) and 36
+# per vector of the at most C(n+m, n) it decodes (5-15 us and about 200 B each).
+# All-sigma pays per vector of its count pass, held in its blocks at up to 190 B
+# in B, which decodes every vector, and 100 B in D (both at n = 2), plus 2 per
+# group element (about 1 us each), |B_n| = 2^n n! and |D_n| = 2^(n-1) n!.  The
+# largest admitted commands take up to 4.4 s and peak under 70 MB RSS.
+def _fiber_steps(group: str, sigma: bool):
+    if sigma:
+        return lambda n, m: 4 * (2 * m + 1) ** n + 36 * comb(n + m, n)
+    per_vector = 36 if group == "B" else 20
+    return lambda n, m: per_vector * (2 * m + 1) ** n + 2 ** (n + (group == "B")) * factorial(n)
 
 
 def _check_args(args) -> None:
     """Post-validation argparse cannot express, one branch per command, before
-    any work: the job count, n and m floors, and the rows, steps and fibers bounds."""
+    any work: the job count, n and m floors, and the rows and steps bounds."""
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise UsageError(f"need a job count >= 1, got {args.jobs}")
     if args.command == "verify":
@@ -92,25 +94,13 @@ def _check_args(args) -> None:
     elif args.command == "map" and args.m < 0:
         raise UsageError("need m >= 0")
     elif args.command == "fibers":
-        if args.type == "D" and args.n < 2:
-            raise UsageError("fibers requires n >= 2")
-        if args.n < 1 or args.m < 0:
-            raise UsageError("need n >= 1 and m >= 0")
-        # both bounds grow with n and refuse n = 20, so a huge n costs nothing
-        n = min(args.n, 20)
-        if args.m and (2 * args.m + 1) ** n > MAX_FIBER_VECTORS:
-            raise UsageError(f"fibers sweeps (2m+1)^n vectors, at most {MAX_FIBER_VECTORS}")
-        # |B_n| = 2^n n!, and D_n is half of B_n
-        if args.sigma is None and 2**n * factorial(n) > MAX_FIBER_REPORTS * (2 if args.type == "D" else 1):
-            raise UsageError(
-                f"all-sigma fibers reports |{args.type}_n| sigmas, at most "
-                f"{MAX_FIBER_REPORTS}; pick one with --sigma"
-            )
+        steps = _fiber_steps(args.type, args.sigma is not None)
+        _check_grid("fibers", 2 if args.type == "D" else 1, steps, (args.n, args.n), (args.m, args.m))
 
 
 def _check_grid(name: str, least_n: int, steps, n_range, m_range) -> None:
-    """Refuse a verify or missing (n, m) grid: n below least_n, n < 1 or m < 0,
-    n past MAX_ROW_N, then ``steps`` summed over the grid past MAX_STEPS."""
+    """Refuse a verify, missing or fibers (n, m) grid: n below least_n, n < 1
+    or m < 0, n past MAX_ROW_N, then ``steps`` summed over the grid past MAX_STEPS."""
     (n_lo, n_hi), (m_lo, m_hi) = n_range, m_range
     if n_lo < least_n and least_n > 1:  # n < 1 alone gets the message below
         raise UsageError(f"{name} requires n >= {least_n}")
@@ -203,6 +193,12 @@ def cmd_map(args) -> int:
 
 
 def cmd_fibers(args) -> int:
+    if sys.platform == "linux":
+        import ctypes
+
+        # M_MMAP_THRESHOLD (-3) fixed at 1 MiB, not raised to the largest block freed, so
+        # MB-sized tables and report text never land on heap pages earlier commands left
+        ctypes.CDLL(None).mallopt(-3, 1 << 20)
     head, rest = map_b.fiber_writer(args.format, args.type, args.m, args.vectors or args.sigma is not None)
 
     def show(r) -> str:

@@ -215,8 +215,9 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
     """The window the type's forward map sends each vector to, or None for
     a missing vector, in the order of enumerate_vectors: one pass over the
     sweep engine's position codes, where the sorted codes give phi's window
-    and type D reads psi's case rules through ``_code_case``.  It builds no
-    SignedPermutation and keeps no vector."""
+    and type D reads psi's case rules through ``_code_case``, cached by each
+    code's class as in ``_census_fold``, so the cache holds under 8 w^4
+    entries whatever m is.  It builds no SignedPermutation and keeps no vector."""
     if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
     least = 2 if group == "D" else 1
@@ -228,16 +229,18 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
     if group == "B":
         yield from (tuple(map(entry, sorted(codes))) for codes in product(*columns))
         return
+    ww = w * w
     case = lru_cache(maxsize=None)(partial(_code_case, n))
     for codes in product(*columns):
         low = sorted(codes)
+        c1, c2 = low[0], low[1]
         odd = sum(codes) % w & 1
-        if case(low[0], low[1], odd) < len(MISSING_CASES):
+        if case(c1 if c1 < ww else c1 % ww + ww, c2 if c2 < ww else c2 % ww + ww, odd) < len(MISSING_CASES):
             yield None
             continue
         window = tuple(map(entry, low))
         # a zero (a code below w^2) and odd negatives: psi flips sigma_1
-        yield (-window[0],) + window[1:] if odd and low[0] < w * w else window
+        yield (-window[0],) + window[1:] if odd and c1 < ww else window
 
 
 def fiber_counts(group: str, n: int, m: int, table: list | None = None) -> Counter[tuple[int, ...]]:

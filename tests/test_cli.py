@@ -627,6 +627,8 @@ def test_sweeps_past_the_bound_are_refused_before_any_work(capsys, monkeypatch, 
         "missing --n 3 --m 107",
         "verify --identity erratum-d --n-range 50..50 --m-range 0..998",
         "verify --identity balance-d --n-range 2..14 --m-range 1..1",
+        # 5^9 vectors in one image pass, about 2-3 s
+        "fibers --type B --n 9 --m 2 --sigma 1,2,3,4,5,6,7,8,9",
     ],
 )
 def test_grids_the_folds_make_cheap_are_admitted(argv):
@@ -645,6 +647,12 @@ def test_grids_the_folds_make_cheap_are_admitted(argv):
         ("verify --identity worpitzky-a --n-range 1..1 --m-range 0..3", 4 * 50),
         ("verify --identity worpitzky-d --n-range 2..3 --m-range 1..2", 100 + 101 + 150 + 151),
         ("verify --identity erratum-d --n-range 2..2 --m-range 5..5", 102),
+        # fibers: all-sigma 36 (B) or 20 (D) per vector plus 2 per element of
+        # B_n or D_n; --sigma 4 per vector plus 36 per vector of C(n+m, n)
+        ("fibers --type B --n 2 --m 1", 36 * 3**2 + 2 * 8),
+        ("fibers --type D --n 2 --m 1", 20 * 3**2 + 2 * 4),
+        ("fibers --type B --n 2 --m 1 --sigma 2,-1", 4 * 3**2 + 36 * 3),
+        ("fibers --type D --n 3 --m 1 --sigma 1,-2,-3", 4 * 3**3 + 36 * 4),
     ],
 )
 def test_the_step_bound_sums_the_steps_of_the_grid(capsys, monkeypatch, argv, steps):
@@ -652,7 +660,7 @@ def test_the_step_bound_sums_the_steps_of_the_grid(capsys, monkeypatch, argv, st
     assert run(capsys, *argv.split())[0] == 0
     monkeypatch.setattr(cli, "MAX_STEPS", steps - 1)
     code, out, err = run(capsys, *argv.split())
-    name = argv.split()[2] if argv.startswith("verify") else "missing"
+    name = argv.split()[2 if argv.startswith("verify") else 0]
     assert code == 2 and out == ""
     assert err == f"error: {name} takes {steps} steps or more, at most {steps - 1}\n"
 
@@ -725,8 +733,6 @@ def test_any_argv_exits_0_1_or_2_with_one_error_line_and_starts_no_process(argv)
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         mp.setattr(cli, "MAX_STEPS", 2000)
-        mp.setattr(cli, "MAX_FIBER_VECTORS", 500)
-        mp.setattr(cli, "MAX_FIBER_REPORTS", 400)
         for module, name in ((os, "fork"), (os, "posix_spawn"), (os, "posix_spawnp"), (subprocess, "Popen")):
             mp.setattr(module, name, no_process)
         mp.setattr(multiprocessing.process.BaseProcess, "start", no_process)

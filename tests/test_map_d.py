@@ -527,18 +527,20 @@ def test_census_fold_tallies_real_shards_as_psi(n):
 
 def test_census_fold_case_cache_does_not_grow_with_m():
     # at n = 2 every vector is one step, with 2(2m+1) distinct smallest codes
-    # per position; the fold caches cases by each code's entry class, whose
-    # count does not depend on m (an unbounded cache of raw code pairs
-    # peaked near 51 MB at m = 300)
-    map_d._census_fold(2, 5)  # imports and first-call allocations
-    tracemalloc.start()
-    try:
-        cells = map_d._census_fold(2, 150)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(cells) == 301**2
-    assert peak < 2 * 2**20
+    # per position; the census fold and the type-D image pass cache cases by
+    # each code's entry class, whose count does not depend on m (an unbounded
+    # cache of raw code pairs peaked near 51 MB at m = 300, and the image
+    # pass near 13 MiB at m = 150)
+    for vectors in (lambda m: sum(map_d._census_fold(2, m)), lambda m: sum(1 for _ in map_d._images("D", 2, m))):
+        vectors(5)  # imports and first-call allocations
+        tracemalloc.start()
+        try:
+            count = vectors(150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 301**2
+        assert peak < 2 * 2**20
 
 
 def test_census_json_schema():
