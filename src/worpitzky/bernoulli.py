@@ -14,6 +14,7 @@ independent routes (Bernoulli values vs. plain power sums).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,15 +34,22 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
+@lru_cache(maxsize=None)
+def _scaled_poly_coeffs(n: int) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of B_0..B_n, and C(n, k) B_k D for k = 0..n."""
+    d = math.lcm(*(bernoulli_number(k).denominator for k in range(n + 1)))
+    return d, [binom(n, k) * int(bernoulli_number(k) * d) for k in range(n + 1)]
+
+
 def bernoulli_poly_eval(n: int, x: Fraction | int) -> Fraction:
-    """Value of the n-th Bernoulli polynomial at a rational point."""
+    """Value of the n-th Bernoulli polynomial at p/r: sum_k C(n, k) B_k D p^(n-k) r^k / D r^n, by Horner."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += binom(n, k) * bernoulli_number(k) * x ** (n - k)
-    return acc
+    (p, r), (d, coeffs) = Fraction(x).as_integer_ratio(), _scaled_poly_coeffs(n)
+    acc = 0
+    for k, c in enumerate(coeffs):
+        acc = acc * p + c * r**k
+    return Fraction(acc, d * r**n)
 
 
 def power_sum(n: int, m: int) -> int:

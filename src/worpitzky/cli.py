@@ -36,9 +36,9 @@ class UsageError(Exception):
 
 # Work bound of a verify or missing grid, summed over its (n, m) cells: a
 # fold's steps (sigma_vectors.fold_steps) and n (50 + m/4) steps per report.
-# On a 2-CPU Xeon with Python 3.11.7 a fold step took 0.28-0.85 us, and a
-# report past its fold 4-1,400 us from n = 2 to 50 plus up to 3.2 us per
-# unit of m.  `missing --n 2 --m 1580`, the slowest admitted, is 9,995,972 steps.
+# On a 2-CPU Xeon with Python 3.11.7 a fold step took 0.03-0.30 us in `missing`,
+# 0.06-0.25 us in worpitzky-b and 0.001-0.02 us in balance-d (n = 8 down to 2), and
+# a report past its fold 4-1,400 us from n = 2 to 50 plus up to 3.2 us per unit of m.
 MAX_STEPS = 10**7
 
 

@@ -35,6 +35,7 @@ deviating closed form of the full q-identity is kept as an erratum probe.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import compress, product, repeat
@@ -50,6 +51,8 @@ from .sigma_vectors import (
     Vector,
     _columns,
     _prefix_keys,
+    _tails,
+    _unpack,
     check_bound,
     code_entry,
     enumerate_vectors,
@@ -216,7 +219,7 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
     a missing vector, in the order of enumerate_vectors: one pass over the
     sweep engine's position codes, where the sorted codes give phi's window
     and type D reads psi's case rules through ``_code_case``, cached by each
-    code's class as in ``_census_fold``, so the cache holds under 8 w^4
+    code's class, which ``_census_fold`` tallies by, so the cache holds under 8 w^4
     entries whatever m is.  It builds no SignedPermutation and keeps no vector."""
     if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
@@ -414,28 +417,29 @@ def _census_fold(n: int, m: int) -> list[int]:
     """One block of n+1 cells per missing case and a last one for the
     associated vectors; cell k of a block counts its vectors with neg2 = k."""
     w = n + 1
-    cells = [0] * ((len(MISSING_CASES) + 1) * w)
-
-    # the block of a vector whose two smallest codes are c1 < c2, less 1 when
-    # sigma_1 < 0, so that adding neg gives the cell of neg2
-    @lru_cache(maxsize=None)
-    def offset(c1: int, c2: int, odd: int) -> int:
-        return _code_case(n, c1, c2, odd) * w - c1 % w
-
-    # one step per prefix key and last code c, where the prefix's two
-    # smallest codes are a < b (b is NO_CODE when n = 2).  offset reads a
-    # code's entry and sign from it mod w^2, and a zero from a code below w^2,
-    # so it is called with each code's class, which keeps its cache under
-    # 8 w^4 entries however many letters there are
+    # _code_case reads a code's entry and sign from it mod w^2 and a zero from a code below
+    # w^2, so vectors are tallied by their two smallest codes' classes, under 2 w^2 of them
     ww = w * w
-    last, keys = _prefix_keys(_columns(n, m), 2)
-    for (s, (a, b)), count in keys.items():
-        for c in last:
-            neg = (s + c) % w
-            c1, c2, _ = sorted((a, b, c))
-            k1 = c1 if c1 < ww else c1 % ww + ww
-            k2 = c2 if c2 < ww else c2 % ww + ww
-            cells[offset(k1, k2, neg & 1) + neg] += count
+    last, K, keys = _prefix_keys(_columns(n, m), 2)
+    last, tail = _tails(last, w, K)
+    classes = [(c if c < ww else c % ww + ww, c % w) for c in last]
+    pairs = {}
+    # a prefix's two smallest codes are a < b (b is NO_CODE when n = 2)
+    for (a, b), packed in keys.items():
+        i, j, shifted = bisect_left(last, a), bisect_left(last, b), (packed, packed << K)
+        ka, kb = (c if c < ww else c % ww + ww for c in (a, b))  # b = NO_CODE: kb is never read
+        for k, f in classes[:i]:
+            pairs[k, ka] = pairs.get((k, ka), 0) + shifted[f]
+        for k, f in classes[i:j]:
+            pairs[ka, k] = pairs.get((ka, k), 0) + shifted[f]
+        if j < len(last):  # the codes above b leave the pair (a, b)
+            pairs[ka, kb] = pairs.get((ka, kb), 0) + packed * tail[j]
+    cells = [0] * ((len(MISSING_CASES) + 1) * w)
+    for (k1, k2), packed in pairs.items():
+        # the block by neg's parity, less 1 when sigma_1 < 0: adding neg gives neg2's cell
+        offsets = [_code_case(n, k1, k2, odd) * w - k1 % w for odd in (0, 1)]
+        for neg, count in enumerate(_unpack(packed, K, w)):
+            cells[offsets[neg & 1] + neg] += count
     return cells
 
 

@@ -9,15 +9,15 @@ absolute value).  ``order_key`` ranks a letter in this order and
 ``position_code`` a letter at a position in the order ``phi`` sorts by.  The
 sweep engine folds every vector of the space through these codes, in one
 pass and in this process: ``_prefix_keys`` counts the prefixes of n-1 codes
-by their sum and smallest codes, column by column, and a fold takes one step
-per key and last code.
+by their smallest codes with their negative counts packed in one int, column by
+column; a fold steps per key and last code below its largest, and multiplies once for the rest.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from bisect import bisect_left
 # no sweep starts a process; Pool, close to half of the package's import time, stays
 # bound because bench/layers.py's tracer rebinds it in a package module or raises LookupError
 from multiprocessing import Pool  # noqa: F401
@@ -121,34 +121,46 @@ def _columns(n: int, m: int) -> list[tuple[int, ...]]:
     return [tuple(position_code(i, a, n) for a in letters(m)) for i in range(1, n + 1)]
 
 
-def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, ...], Counter]:
-    """The last column, and the prefixes of n-1 codes counted by key: the
-    code sum mod n+1, paired for low = 1 or 2 with the ``low`` smallest codes
-    (a bare code for low = 1), padded with NO_CODE.  A prefix's key after one
-    more code depends only on its key before and that code, so the keys are
-    counted one column at a time, without building any prefix."""
+def _tails(column: Sequence[int], w: int, K: int) -> tuple[list[int], list[int]]:
+    """A column sorted, and entry i of its tail weights: the sum of 1 << K*(c mod w) over its codes from index i on."""
+    column = sorted(column)
+    return column, list(itertools.accumulate(reversed(column), lambda t, c: t + (1 << K * (c % w)), initial=0))[::-1]
+
+
+def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, ...], int, dict]:
+    """The last column, the bits K of a packed count, and the prefixes of n-1 codes
+    counted by their ``low`` smallest codes, padded with NO_CODE: a key holds the sum of
+    1 << K*neg over its prefixes (neg, the code sum mod n+1, is their negative count), and
+    K bits hold every count.  A code c shifts a key by K*(c mod w); the codes above its
+    largest leave it as it is and fold in by one product with their tail weight."""
     *head, last = columns
     w = len(columns) + 1
-    # NO_CODE stands for a code a prefix lacks: in a key (n = 1, or n = 2 at low 2) and in pair
-    pad = (NO_CODE,) * (2 - low)
-    keys = Counter({(0, (NO_CODE,) * low): 1})
+    K = sum(len(column).bit_length() for column in columns)
+    if not low:  # every code lies above the empty key's: no sort, no copy
+        return last, K, {(): math.prod(sum(1 << K * (c % w) for c in column) for column in head)}
+    keys = {(NO_CODE,) * low: 1}
     for column in head:
-        keys, before = Counter(), keys
-        for (s, small), count in before.items():
-            a, b = pair = small + pad  # small, padded to two codes
-            for c in column:
-                key = (s + c) % w, ((c, a) if c < a else (a, c) if c < b else pair)[:low]
-                keys[key] = keys.get(key, 0) + count
-    if low == 2:
-        return last, keys
-    return last, Counter({(s, *small) if low else s: count for (s, small), count in keys.items()})
+        column, tail = _tails(column, w, K)
+        keys, before = {}, keys
+        for small, packed in before.items():
+            a, j, shifted = small[0], bisect_left(column, small[-1]), (packed, packed << K)
+            for c in column[:j]:
+                key = (c, a)[:low] if c < a else (a, c)
+                keys[key] = keys.get(key, 0) + shifted[c % w]
+            if tail[j]:
+                keys[small] = keys.get(small, 0) + packed * tail[j]
+    return last, K, keys
+
+
+def _unpack(packed: int, K: int, w: int) -> list[int]:
+    return [packed >> K * k & (1 << K) - 1 for k in range(w)]
 
 
 def fold_steps(n: int, m: int, low: int) -> int:
-    """An upper bound on a fold's steps over ``_prefix_keys(_columns(n, m),
-    low)``, one per key and next code: L sum_{k<n} min(L^k, w C(kL+low, low))
-    with L = 2m+1, w = n+1, as k columns leave at most L^k keys and w code
-    sums times C(kL+low, low) choices of low smallest codes, NO_CODE too."""
+    """The work budget's unit, not the work done: an upper bound on the keys of ``_prefix_keys(
+    _columns(n, m), low)`` unpacked by neg, times the next column's letters: L sum_{k<n} min(L^k,
+    w C(kL+low, low)) with L = 2m+1, w = n+1, as k columns leave at most L^k prefixes and w
+    negative counts times C(kL+low, low) choices of low smallest codes, NO_CODE too."""
     L, w = 2 * m + 1, n + 1
     top = w * math.comb(n * L + low, low)  # caps L^k, so no power grows with m
     total, keys = 0, 1
@@ -160,24 +172,20 @@ def fold_steps(n: int, m: int, low: int) -> int:
 
 def _neg_fold(n: int, m: int) -> list[int]:
     w = n + 1
-    counts = [0] * w
-    last, keys = _prefix_keys(_columns(n, m), 0)
-    for s, count in keys.items():
-        for c in last:
-            counts[(s + c) % w] += count
-    return counts
+    last, K, keys = _prefix_keys(_columns(n, m), 0)
+    return _unpack(keys[()] * sum(1 << K * (c % w) for c in last), K, w)
 
 
 def _neg2_fold(n: int, m: int) -> list[int]:
     w = n + 1
-    counts = [0] * w
-    last, keys = _prefix_keys(_columns(n, m), 1)
-    # the smallest code is the smallest letter and its last digit is its
-    # sign, so neg2 leaves min(c, lo) out of the sum
-    for (s, lo), count in keys.items():
-        for c in last:
-            counts[(s + c - min(c, lo)) % w] += count
-    return counts
+    last, K, keys = _prefix_keys(_columns(n, m), 1)
+    last, tail = _tails(last, w, K)
+    total = 0
+    # neg2 leaves out the smallest code's sign (its last digit): a last code's below lo, else lo's
+    for (lo,), packed in keys.items():
+        i = bisect_left(last, lo)
+        total += packed * i + (packed * tail[i] >> K * (lo % w) if i < len(last) else 0)
+    return _unpack(total, K, w)
 
 
 def total_weight_neg(n: int, m: int) -> QPolynomial:

@@ -1,5 +1,6 @@
 """Bernoulli numbers, polynomials, and the power-sum bridge."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,18 @@ def test_poly_at_zero_is_the_number():
 def test_poly_values():
     assert bernoulli_poly_eval(2, 4) == Fraction(73, 6)  # 16 - 4 + 1/6
     assert bernoulli_poly_eval(1, 1) == Fraction(1, 2)
+
+
+def _poly_eval_by_fractions(n, x):
+    """The n-th Bernoulli polynomial at x as a sum of Fraction terms."""
+    x = Fraction(x)
+    return sum((math.comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1)), Fraction(0))
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 7, -3, 1581, Fraction(1, 2), Fraction(-5, 3), Fraction(22, 7), Fraction(3, 1)])
+def test_integer_horner_equals_the_fraction_sum(x):
+    for n in range(31):
+        assert bernoulli_poly_eval(n, x) == _poly_eval_by_fractions(n, x), n
 
 
 def test_power_sum():

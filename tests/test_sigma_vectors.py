@@ -17,6 +17,7 @@ from worpitzky.sigma_vectors import (
     _neg2_fold,
     _neg_fold,
     _prefix_keys,
+    _unpack,
     enumerate_vectors,
     fold_steps,
     format_vector,
@@ -141,6 +142,19 @@ def _keys_of_every_prefix(columns, low):
     return keys
 
 
+def _unpacked(columns, low):
+    """The last column and ``_prefix_keys``'s packed counts read out in the
+    shape of ``_keys_of_every_prefix``: by neg, with the key's codes for low > 0."""
+    last, K, keys = _prefix_keys(columns, low)
+    counts = Counter()
+    for small, packed in keys.items():
+        assert len(small) == low
+        for neg, count in enumerate(_unpack(packed, K, len(columns) + 1)):
+            if count:
+                counts[neg if not low else (neg, small[0]) if low == 1 else (neg, small)] += count
+    return last, counts
+
+
 # (n, m, first): the vectors of a drawn space that start with one letter
 _starts = _spaces.flatmap(lambda nm: st.tuples(st.just(nm[0]), st.just(nm[1]), st.integers(-nm[1], nm[1])))
 
@@ -155,7 +169,7 @@ def test_prefix_keys_count_every_prefix_by_its_key(start, low):
     n, m, first = start
     assume(n >= 2 or low < 2)  # the census, the only low-2 reader, needs n >= 2
     columns = _one_first_letter(n, m, first)
-    last, keys = _prefix_keys(columns, low)
+    last, keys = _unpacked(columns, low)
     assert last == columns[-1]
     assert keys == _keys_of_every_prefix(columns, low)
 
@@ -167,7 +181,7 @@ def test_prefix_keys_count_every_prefix_by_its_key(start, low):
 ])
 def test_prefix_keys_pad_a_prefix_shorter_than_low(n, low, key):
     # the vectors starting with -1: their one prefix holds n-1 codes
-    assert _prefix_keys(_one_first_letter(n, 1, -1), low)[1] == Counter({key: 1})
+    assert _unpacked(_one_first_letter(n, 1, -1), low)[1] == Counter({key: 1})
 
 
 @pytest.mark.parametrize("low", [0, 1, 2])
@@ -227,6 +241,37 @@ def test_sweeps_equal_brute_sums_over_every_vector(n, m, calls):
         assert census.counts == {case: sum(cases[case]) for case in MISSING_CASES}
         assert census.weights == {case: QPolynomial(cases[case]) for case in MISSING_CASES}
         assert census.associated_count == sum(cases[None])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_packed_folds_stay_exact_past_the_brute_range(m):
+    # 3^50 to 7^50 vectors, far past every count a narrower packing would
+    # hold: a coefficient that spilled into the next would break these
+    n = 50
+    assert _neg_fold(n, m) == [math.comb(n, k) * m**k * (m + 1) ** (n - k) for k in range(n + 1)]
+    assert sum(_neg2_fold(n, m)) == (2 * m + 1) ** n
+
+
+@pytest.mark.parametrize("n, m", [(14, 4), (50, 1)])
+def test_packed_census_stays_exact_past_the_brute_range(n, m):
+    # 9^14 vectors, and 3^50 > 2^79, more than a 64-bit packing holds
+    census = missing_census(n, m)
+    assert census.passed
+    assert census.total_count + census.associated_count == (2 * m + 1) ** n
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (1, 5), (2, 0), (3, 0), (50, 0), (2, 5)])
+def test_packed_folds_at_the_narrowest_packings(n, m):
+    # the bits per packed count are fewest at n = 1 or m = 0 (one per column)
+    neg, neg2 = [0] * (n + 1), [0] * (n + 1)
+    for v in enumerate_vectors(n, m):
+        neg[neg_vec(v)] += 1
+        neg2[neg2_vec(v)] += 1
+    assert _neg_fold(n, m) == neg
+    assert _neg2_fold(n, m) == neg2
+    if n > 1:
+        assert sum(map_d._census_fold(n, m)) == (2 * m + 1) ** n
+        assert missing_census(n, m).passed
 
 
 @pytest.mark.parametrize("n, m", [(14, 1), (10, 2), (8, 3)])
