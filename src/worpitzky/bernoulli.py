@@ -35,10 +35,10 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _scaled_poly_coeffs(n: int) -> tuple[int, list[int]]:
+def _scaled_poly_coeffs(n: int) -> tuple[int, tuple[int, ...]]:
     """D, the lcm of the denominators of B_0..B_n, and C(n, k) B_k D for k = 0..n."""
     d = math.lcm(*(bernoulli_number(k).denominator for k in range(n + 1)))
-    return d, [binom(n, k) * int(bernoulli_number(k) * d) for k in range(n + 1)]
+    return d, tuple(binom(n, k) * int(bernoulli_number(k) * d) for k in range(n + 1))
 
 
 def bernoulli_poly_eval(n: int, x: Fraction | int) -> Fraction:
