@@ -6,8 +6,9 @@ reports), ``missing`` (missing-vector census), ``oeis-check`` (b-file
 cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 
 Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
-also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, a law-0
-window of ``map_d.fiber_blocks`` from a template of its (0, 0, pass) text.
+also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``: all-sigma,
+each block of ``map_d.fiber_blocks`` is its descent pattern's template text
+under one ``str.translate`` of placeholders to the permutation's letters.
 The vector sweeps run in one pass in this process (--jobs has no effect).
 Oversize work exits 2 before it starts: n past MAX_ROW_N, or a ``verify`` or
 ``missing`` grid or a ``fibers`` command past MAX_STEPS.
@@ -20,9 +21,9 @@ import os
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb, factorial
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
@@ -210,30 +211,29 @@ def cmd_fibers(args) -> int:
             raise UsageError(f"--sigma has {sigma.n} entries, expected {args.n}")
         newline = "\n" if args.format == "json" else ""  # a text report ends in one
         return _write_reports([map_d.fiber_report(args.type, sigma, args.m)], show, tail=lambda ok: newline)
-    # all-sigma: one write per permutation p, from its pattern's template: per
-    # window a getter of the parts of its text in pieces + p's letters + p's
-    # report texts, for law 0 head, the letters (each after a piece with its
-    # sign) and law0, else the report's text (a getter of a slice gives a
-    # 1-tuple, joined to its one text).  Up to B_6 no temporary of a block
-    # passes pymalloc's 512 bytes (freed C-heap blocks kept pages resident).
+    # all-sigma: a block is its pattern's template, where chr(0) brackets each window of nonzero
+    # law (its report's text with --vectors or a failure), under one translate of chr(0) to ""
+    # and chr(k) to p's letter k, which no report text holds (chr(10) is "\n").
+    if args.n > 9:
+        raise UsageError("all-sigma fibers take n <= 9")
     sep, bracket, tail = (", ", "[", lambda ok: "]\n") if args.format == "json" else ("", "", lambda ok: "")
     rows, blocks = map_d.fiber_blocks(args.type, args.n, args.m)
-    pieces = (head, head + "-", ",", ",-", rest(0, 0, True, ()))
-    signs = next(iter(rows.values()))[0]
-    law0 = {s: itemgetter(*[j for i, x in enumerate(s) for j in (2 * (i > 0) + (x < 0), 5 + i)], 4) for s in signs}
-    text = [itemgetter(slice(k, k + 1)) for k in range(5 + args.n, 5 + args.n + len(signs))]
-    templates = {
-        pattern: [text[k] if law else law0[s] for s, law, k in zip(signs, laws, accumulate(map(bool, laws), initial=0))]
-        for pattern, (_, laws) in rows.items()
-    }
+    marks = [head + ",".join("-" * (x < 0) + chr(k) for k, x in enumerate(s, 1)) for s in next(iter(rows.values()))[0]]
+    window = lambda mark, law: f"\0{mark}{rest(law, law, True, ())}\0" if law else mark + rest(0, 0, True, ())  # noqa: E731
+    templates = {pattern: (len(laws) - laws.count(0), sep.join(map(window, marks, laws))) for pattern, (_, laws) in rows.items()}
+    table = [None, *map(chr, range(1, 128))]
 
     def block_text(block) -> str:
         pattern, p, reports = block
-        texts = tuple(map(show, reports))
-        if len(texts) == len(templates[pattern]):  # every window is reported
-            return sep.join(texts)
-        pool = pieces + tuple(map(str, p)) + texts
-        return sep.join(map("".join, map(itemgetter.__call__, templates[pattern], repeat(pool))))
+        reported, text = templates[pattern]
+        if len(reports) > reported:  # whole: a law-0 window was counted
+            return sep.join(map(show, reports))
+        if args.vectors or not all(r.passed for r in reports):
+            parts = text.split("\0")
+            parts[1::2] = map(show, reports)
+            text = "".join(parts)
+        table[1:len(p) + 1] = map(str, p)
+        return text.translate(table)
 
     return _write_reports(blocks, block_text, sep, bracket, tail, lambda block: all(r.passed for r in block[2]))
 

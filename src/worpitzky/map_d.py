@@ -39,7 +39,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import compress, product, repeat
-from operator import countOf, itemgetter, mul
+from operator import countOf, gt, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .bernoulli import power_sum, worpitzky_d_lhs
@@ -284,28 +284,28 @@ def fiber_blocks(group: str, n: int, m: int, whole: bool = False) -> tuple[dict,
     signs and size laws of its windows in ``_signed_windows`` order, and per
     permutation p of 1..n ``(pattern, p, reports)``, the reports of p's
     windows of nonzero law, the others passing with law and count 0; or of
-    all its windows with ``whole`` or when one of law 0 is counted.  All
-    tables are built before the first block; after the last, one full
-    collection (about 2 ms) clears the tuple free list, where the oracle's
-    windows kept about 3 MB resident after D_6 at m=2."""
+    all its windows with ``whole`` or when one of law 0 is counted, so a
+    passing block's text depends only on its pattern and p.  All tables are
+    built before the first block; after the last, one full collection (3-5 ms)
+    clears the tuple free list, where the oracle's windows kept about 3 MB
+    resident after D_6 at m=2."""
     table: list = []
     counts = fiber_counts(group, n, m, table)
     weights = [(2 * m + 1) ** k for k in reversed(range(n))]
     base = m * sum(weights)
     image = lambda v: table[sum(map(mul, v, weights), base)]  # noqa: E731
     law = [binom(n + m - d, n) for d in range(n + 1)]
-    of, first = SignedPermutation._of, {}
-    for pattern, windows in _signed_windows(n, group):
-        first.setdefault(pattern, next(windows))  # sign mask 0: the permutation
+    of = SignedPermutation._of
     signs = [tuple(x // abs(x) for x in w) for w in next(_signed_windows(n, group))[1]]
     rows, full, part = {}, {}, {}
-    for pattern, des in _descent_table(group, n).items():
+    for pattern, (first, des) in _descent_table(group, n).items():
         laws = [law[d] for d in des]
-        windows = (tuple(map(mul, sign, first[pattern])) for sign in signs)
+        windows = (tuple(map(mul, sign, first)) for sign in signs)
         plans = [_plan(w, m, of(w).descents(group)) if e else () for w, e in zip(windows, laws)]
         rows[pattern], full[pattern] = (signs, laws), (signs, laws, plans)
         part[pattern] = [list(compress(x, laws)) for x in full[pattern]]
-    marked = {tuple(map(abs, w)) for w in counts if not law[of(w).des(group)]}
+    # a counted window of law 0 has des > m: B reads position 0 against 0, D against -w[1]
+    marked = {tuple(map(abs, w)) for w in counts if sum(map(gt, (-w[1] if group == "D" else 0,) + w, w)) > m}
 
     def blocks():
         for pattern, windows in _signed_windows(n, group):

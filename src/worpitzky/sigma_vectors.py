@@ -129,15 +129,13 @@ def _tails(column: Sequence[int], w: int, K: int) -> tuple[list[int], list[int]]
 
 def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, ...], int, dict]:
     """The last column, the bits K of a packed count, and the prefixes of n-1 codes
-    counted by their ``low`` smallest codes, padded with NO_CODE: a key holds the sum of
+    counted by their ``low`` >= 1 smallest codes, padded with NO_CODE: a key holds the sum of
     1 << K*neg over its prefixes (neg, the code sum mod n+1, is their negative count), and
     K bits hold every count.  A code c shifts a key by K*(c mod w); the codes above its
     largest leave it as it is and fold in by one product with their tail weight."""
     *head, last = columns
     w = len(columns) + 1
     K = sum(len(column).bit_length() for column in columns)
-    if not low:  # every code lies above the empty key's: no sort, no copy
-        return last, K, {(): math.prod(sum(1 << K * (c % w) for c in column) for column in head)}
     keys = {(NO_CODE,) * low: 1}
     for column in head:
         column, tail = _tails(column, w, K)
@@ -171,9 +169,11 @@ def fold_steps(n: int, m: int, low: int) -> int:
 
 
 def _neg_fold(n: int, m: int) -> list[int]:
-    w = n + 1
-    last, K, keys = _prefix_keys(_columns(n, m), 0)
-    return _unpack(keys[()] * sum(1 << K * (c % w) for c in last), K, w)
+    """The product of the column weights, each code made as it is summed: none is kept."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    w, K = n + 1, n * (2 * m + 1).bit_length()
+    return _unpack(math.prod(sum(1 << K * (position_code(i, a, n) % w) for a in letters(m)) for i in range(1, n + 1)), K, w)
 
 
 def _neg2_fold(n: int, m: int) -> list[int]:

@@ -160,16 +160,16 @@ def _elements(n: int, group: str) -> Iterator[SignedPermutation]:
     return map(SignedPermutation._of, windows)
 
 
-def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], list[int]]:
-    """The type-``group`` descent counts of the windows of each type-A
-    descent pattern, in the order of ``_signed_windows``.  A descent between
-    two neighbours depends only on their signs and on which absolute value
-    is larger, so the first permutation of a pattern gives the counts of
-    every permutation with it."""
+def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], tuple[tuple[int, ...], list[int]]]:
+    """Per type-A descent pattern, its first permutation p in ``_signed_windows``
+    order and the type-``group`` descent counts of p's windows, in that order.  A
+    descent between two neighbours depends only on their signs and on which absolute
+    value is larger, so these are the counts of every permutation with the pattern."""
     table = {}
     for pattern, windows in _signed_windows(n, group):
         if pattern not in table:
-            table[pattern] = [SignedPermutation._of(w).des(group) for w in windows]
+            windows = list(windows)  # sign mask 0 first: the permutation
+            table[pattern] = windows[0], [SignedPermutation._of(w).des(group) for w in windows]
     return table
 
 

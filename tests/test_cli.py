@@ -508,6 +508,66 @@ def test_fibers_a_failed_law_zero_window_is_written_in_full(capsys, monkeypatch,
         ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fibers_a_block_of_nonzero_laws_only_is_its_template(capsys, fmt):
+    # at m = 3 every window of B_3 has des <= 3 = m, so no block has a law-0
+    # window and each is its pattern's template with p's letters put in
+    rows, _ = map_d.fiber_blocks("B", 3, 3)
+    assert all(all(laws) for _, laws in rows.values())
+    code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "3", "--m", "3", "--format", fmt)
+    assert code == 0
+    lines = list(map(fiber_show(fmt, "B", 3, False), fiber_reports("B", 3, 3)))
+    assert out == ("[" + ", ".join(lines) + "]\n" if fmt == "json" else "".join(lines))
+
+
+def test_fibers_a_failed_nonzero_law_report_is_written_in_full(capsys, monkeypatch):
+    # the second report of B_3's third block (p = 2,1,3) has a nonzero law at
+    # m = 1; its text comes from the report, the rest of the block from the
+    # template
+    reports = list(fiber_reports("B", 3, 1))
+    real = map_d.fiber_blocks
+    failed = []
+
+    def fail_one(*args):
+        rows, blocks = real(*args)
+
+        def failing():
+            for i, (pattern, p, reports) in enumerate(blocks):
+                if i == 2:
+                    reports[1] = reports[1]._replace(passed=False)
+                    failed.append(reports[1].sigma)
+                yield pattern, p, reports
+
+        return rows, failing()
+
+    monkeypatch.setattr(map_d, "fiber_blocks", fail_one)
+    code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "3", "--m", "1")
+    assert code == 1
+    (sigma,) = failed
+    assert sigma.window == (-2, 1, 3)
+    reports = [r._replace(passed=False) if r.sigma == sigma else r for r in reports]
+    assert out == "".join(map(fiber_show("text", "B", 1, False), reports))
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [f"sigma={sigma} m=1 expected=1 actual=1 MISMATCH"]
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fibers_all_sigma_stops_below_the_placeholder_range(capsys, monkeypatch, group, n):
+    # the writer's placeholders chr(1)..chr(n) must not reach chr(10), "\n":
+    # the step bound refuses these first, and cmd_fibers itself refuses n > 9
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused command started work")
+
+    monkeypatch.setattr(map_d, "fiber_blocks", no_work)
+    argv = ["fibers", "--type", group, "--n", str(n), "--m", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if n > 9:
+        with pytest.raises(cli.UsageError, match="n <= 9"):
+            cli.cmd_fibers(cli.build_parser().parse_args(argv))
+
+
 @pytest.mark.parametrize(
     "group,n,sigma", [("B", "2", "-2,1"), ("D", "3", "-1,2,-3")], ids=["B", "D"]
 )
