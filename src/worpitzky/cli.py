@@ -65,12 +65,12 @@ IDENTITIES = {
 }
 
 # Steps of `fibers` at (n, m), priced from whole commands on the same host.  A
-# --sigma report pays 4 per vector of its image pass (0.7-1.8 us each) and 36
-# per vector of the at most C(n+m, n) it decodes (5-15 us and about 200 B each).
-# All-sigma pays per vector of its count pass, held in its blocks at up to 190 B
-# in B, which decodes every vector, and 100 B in D (both at n = 2), plus 2 per
-# group element (about 1 us each), |B_n| = 2^n n! and |D_n| = 2^(n-1) n!.  The
-# largest admitted commands take up to 4.4 s and peak under 70 MB RSS.
+# --sigma report pays 4 per vector of its image pass (0.2-1.5 us each) and 36
+# per vector of the at most C(n+m, n) it decodes (3-14 us and about 200 B each).
+# All-sigma pays per vector of its count pass, each decoded once from the plans of
+# one descent pattern at a time (at n = 2 under 70 B a vector in B, 40 B in D), plus
+# 2 per group element (about 1 us each), |B_n| = 2^n n! and |D_n| = 2^(n-1) n!.  The
+# largest admitted commands take up to 3.5 s and peak under 60 MB RSS.
 def _fiber_steps(group: str, sigma: bool):
     if sigma:
         return lambda n, m: 4 * (2 * m + 1) ** n + 36 * comb(n + m, n)
@@ -217,7 +217,7 @@ def cmd_fibers(args) -> int:
     if args.n > 9:
         raise UsageError("all-sigma fibers take n <= 9")
     sep, bracket, tail = (", ", "[", lambda ok: "]\n") if args.format == "json" else ("", "", lambda ok: "")
-    rows, blocks = map_d.fiber_blocks(args.type, args.n, args.m)
+    rows, blocks = map_d.fiber_blocks(args.type, args.n, args.m, args.vectors)
     marks = [head + ",".join("-" * (x < 0) + chr(k) for k, x in enumerate(s, 1)) for s in next(iter(rows.values()))[0]]
     window = lambda mark, law: f"\0{mark}{rest(law, law, True, ())}\0" if law else mark + rest(0, 0, True, ())  # noqa: E731
     templates = {pattern: (len(laws) - laws.count(0), sep.join(map(window, marks, laws))) for pattern, (_, laws) in rows.items()}
@@ -228,7 +228,7 @@ def cmd_fibers(args) -> int:
         reported, text = templates[pattern]
         if len(reports) > reported:  # whole: a law-0 window was counted
             return sep.join(map(show, reports))
-        if args.vectors or not all(r.passed for r in reports):
+        if reports:  # with --vectors, or a failure
             parts = text.split("\0")
             parts[1::2] = map(show, reports)
             text = "".join(parts)

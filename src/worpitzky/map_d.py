@@ -14,17 +14,15 @@ breaking the descent condition are "missing" and fall into four classes:
           sigma_2 < 0);
 * case3:  zero present, even negatives, but position 0 is a descent.
 
-The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded here by
-one path, ``fiber_vectors``, from the chains of the type's descent set, and
-counted by one pass over the position codes of every vector, ``_images``.
-``fiber_report`` checks the two against the size law for one sigma, each
-decoded vector validated by a phi or psi call.  ``fiber_blocks`` checks every
-sigma of the group, one block per permutation of 1..n, with work that
-follows the nonempty fibers: it builds and counts only the windows of
-nonzero law (des <= m), decodes each from a plan shared by its (type-A
-descent pattern, sign mask) key, checks each vector by its rank in an image
-table, and reads the law of each count oracle key once, since a law-0
-window passes unless it is a key.  ``fiber_reports`` flattens the blocks.
+The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded by one path
+from the chains of the type's descent set, and counted by one pass over the
+position codes of every vector, ``_images``.  ``fiber_report`` checks one sigma,
+each decoded vector validated by a phi or psi call.  ``fiber_blocks`` checks
+every sigma, one block per permutation of 1..n: its windows of nonzero law
+(des <= m) at once, each decoded from a plan shared by its (type-A descent
+pattern, sign mask) key and found by rank in an image table, with reports built
+only where read; a law-0 window passes unless it is a count oracle key.
+``fiber_reports`` flattens the blocks.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -38,8 +36,8 @@ import gc
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import compress, product, repeat
-from operator import countOf, gt, itemgetter, mul
+from itertools import chain, compress, product, repeat
+from operator import countOf, eq, gt, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .bernoulli import power_sum, worpitzky_d_lhs
@@ -169,9 +167,9 @@ def _plan(window: tuple[int, ...], m: int, descents: tuple[int, ...]) -> list[tu
     checked here to lie in -m..m (else they alias another rank), once per plan."""
     sign = [-1 if x < 0 else 1 for x in window]
     plan = [tuple(map(mul, sign, abs_vals)) for abs_vals in decode_abs_chains(descents, len(window), m)]
-    for chain in plan:
-        if max(map(abs, chain)) > m:
-            raise ArithmeticError(f"decoded chain {chain} of {format_vector(window)} has an entry outside -{m}..{m}")
+    for signed in plan:
+        if max(map(abs, signed)) > m:
+            raise ArithmeticError(f"decoded chain {signed} of {format_vector(window)} has an entry outside -{m}..{m}")
     return plan
 
 
@@ -215,35 +213,40 @@ def psi_fibers(n: int, m: int):
 
 
 def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
-    """The window the type's forward map sends each vector to, or None for
-    a missing vector, in the order of enumerate_vectors: one pass over the
-    sweep engine's position codes, where the sorted codes give phi's window
-    and type D reads psi's case rules through ``_code_case``, cached by each
-    code's class, which ``_census_fold`` tallies by, so the cache holds under 8 w^4
-    entries whatever m is.  It builds no SignedPermutation and keeps no vector."""
+    """The window the type's forward map sends each vector to, or None for a
+    missing vector, in the order of enumerate_vectors: per prefix of n-1 position
+    codes, sorted once, each last code put in by ``bisect``.  Type D reads psi's
+    case through ``_code_case`` from the classes of the two smallest codes, as
+    ``_census_fold`` does (under 8 w^4 cached entries whatever m is), and the code
+    sum's parity.  It builds no SignedPermutation and keeps no vector."""
     if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
     least = 2 if group == "D" else 1
     if n < least:
         raise ValueError(f"type-{group} fibers need n >= {least}")
-    w = n + 1
-    columns = _columns(n, m)
-    entry = {code: code_entry(code, n) for column in columns for code in column}.__getitem__
-    if group == "B":
-        yield from (tuple(map(entry, sorted(codes))) for codes in product(*columns))
-        return
-    ww = w * w
+    w, ww = n + 1, (n + 1) ** 2
+    *head, last = _columns(n, m)
+    entry = {code: code_entry(code, n) for column in head for code in column}.__getitem__
+    ends = [(code_entry(c, n),) for c in last]  # at n = 1 these are the windows
+    klass = {c: c if c < ww else c % ww + ww for column in (*head, last) for c in column}.__getitem__ if group == "D" else None
     case = lru_cache(maxsize=None)(partial(_code_case, n))
-    for codes in product(*columns):
-        low = sorted(codes)
-        c1, c2 = low[0], low[1]
-        odd = sum(codes) % w & 1
-        if case(c1 if c1 < ww else c1 % ww + ww, c2 if c2 < ww else c2 % ww + ww, odd) < len(MISSING_CASES):
-            yield None
+    for prefix in product(*head):
+        low = sorted(prefix)
+        pe = tuple(map(entry, low))
+        if group == "B":
+            for i, e in zip(map(bisect_left, repeat(low), last), ends):
+                yield pe[:i] + e + pe[i:]
             continue
-        window = tuple(map(entry, low))
-        # a zero (a code below w^2) and odd negatives: psi flips sigma_1
-        yield (-window[0],) + window[1:] if odd and c1 < ww else window
+        s, flipped = sum(prefix), (-pe[0],) + pe[1:]
+        ka, kb = klass(low[0]), klass(low[n > 2])  # kb is read only past n = 2
+        for c, e in zip(last, ends):
+            i = bisect_left(low, c)
+            odd = (s + c) % w & 1
+            k1, k2 = (klass(c), ka) if i == 0 else (ka, klass(c)) if i == 1 else (ka, kb)
+            if case(k1, k2, odd) < len(MISSING_CASES):
+                yield None
+            else:  # a zero (a code below w^2) and odd negatives: psi flips sigma_1
+                yield ((-e[0],) + pe if i == 0 else flipped[:i] + e + pe[i:]) if odd and k1 < ww else pe[:i] + e + pe[i:]
 
 
 def fiber_counts(group: str, n: int, m: int, table: list | None = None) -> Counter[tuple[int, ...]]:
@@ -278,17 +281,16 @@ def fiber_report(group: str, sigma: SignedPermutation, m: int) -> FiberReport:
     return _report(group, sigma, m, expected, actual, fiber_vectors(group, sigma, m) if expected else [])
 
 
-def fiber_blocks(group: str, n: int, m: int, whole: bool = False) -> tuple[dict, Iterator[tuple]]:
-    """The reports of every sigma of B_n or D_n by the rule of
-    ``fiber_report``, as ``(rows, blocks)``: per type-A descent pattern the
-    signs and size laws of its windows in ``_signed_windows`` order, and per
-    permutation p of 1..n ``(pattern, p, reports)``, the reports of p's
-    windows of nonzero law, the others passing with law and count 0; or of
-    all its windows with ``whole`` or when one of law 0 is counted, so a
-    passing block's text depends only on its pattern and p.  All tables are
-    built before the first block; after the last, one full collection (3-5 ms)
-    clears the tuple free list, where the oracle's windows kept about 3 MB
-    resident after D_6 at m=2."""
+def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dict, Iterator[tuple]]:
+    """Every sigma of B_n or D_n checked by the rule of ``fiber_report``, as ``(rows,
+    blocks)``: per type-A descent pattern the signs and size laws of its windows in
+    ``_signed_windows`` order, and per permutation p of 1..n ``(pattern, p, reports)``.
+    A block checks p's windows of nonzero law at once in C-level maps, their counts as
+    one list and each decoded vector by its rank in the image table.  It reports them
+    with ``reports`` or if one fails (the others pass with law and count 0), all its
+    windows if one of law 0 is counted, else ().  A pattern's plans live from its first
+    block to its last.  The pass ends in a collection with the older objects frozen
+    (microseconds, not 2-5 ms), clearing the tuple free list (3 MB after D_6 at m=2)."""
     table: list = []
     counts = fiber_counts(group, n, m, table)
     weights = [(2 * m + 1) ** k for k in reversed(range(n))]
@@ -297,27 +299,44 @@ def fiber_blocks(group: str, n: int, m: int, whole: bool = False) -> tuple[dict,
     law = [binom(n + m - d, n) for d in range(n + 1)]
     of = SignedPermutation._of
     signs = [tuple(x // abs(x) for x in w) for w in next(_signed_windows(n, group))[1]]
-    rows, full, part = {}, {}, {}
-    for pattern, (first, des) in _descent_table(group, n).items():
-        laws = [law[d] for d in des]
-        windows = (tuple(map(mul, sign, first)) for sign in signs)
-        plans = [_plan(w, m, of(w).descents(group)) if e else () for w, e in zip(windows, laws)]
-        rows[pattern], full[pattern] = (signs, laws), (signs, laws, plans)
-        part[pattern] = [list(compress(x, laws)) for x in full[pattern]]
+    left = _descent_table(group, n)  # per pattern its descent counts and its blocks to come
+    rows = {pattern: (signs, [law[d] for d in des]) for pattern, (des, _) in left.items()}
     # a counted window of law 0 has des > m: B reads position 0 against 0, D against -w[1]
     marked = {tuple(map(abs, w)) for w in counts if sum(map(gt, (-w[1] if group == "D" else 0,) + w, w)) > m}
 
     def blocks():
+        kept = dict.fromkeys(rows)  # sized first: a table made among the blocks' texts can pin their pages
         for pattern, windows in _signed_windows(n, group):
             p = next(windows)  # sign mask 0
-            sign, laws, plans = (full if whole or p in marked else part)[pattern]
+            if kept[pattern] is None:  # its first block: the plans of its windows of nonzero law
+                plans = ()  # a finished pattern's go before these are made
+                sign, laws = (list(compress(x, rows[pattern][1])) for x in rows[pattern])
+                plans = [_plan(w, m, of(w).descents(group)) for w in map(tuple, map(map, repeat(mul), sign, repeat(p)))]
+                # p only reorders a chain's entries, so distinct chains decode to distinct vectors
+                kept[pattern] = not all(len(plan) == len(set(plan)) == e for plan, e in zip(plans, laws)), sign, laws, plans
+            fails, sign, laws, plans = kept[pattern]
+            left[pattern][1] -= 1
+            kept[pattern] = kept[pattern] if left[pattern][1] else ()  # dropped after its last block
+            if p in marked:  # every window, those of law 0 with no plan
+                sign, laws = rows[pattern]
+                plans = iter(plans)
+                plans = [next(plans) if e else () for e in laws]
+            elif not laws:
+                yield pattern, p, ()
+                continue
             windows = list(map(tuple, map(map, repeat(mul), sign, repeat(p))))
-            decoded = map(_decode, repeat(image), windows, plans, repeat(_picker(p)))
-            actual = map(counts.get, windows, repeat(0))
-            yield pattern, p, list(map(_report, repeat(group), map(of, windows), repeat(m), laws, actual, decoded))
-        for held in (table, counts, full, part, marked):
+            actual = list(map(counts.get, windows, repeat(0)))
+            pick = _picker(p)
+            ranks = map(sum, map(map, repeat(mul), map(pick, chain.from_iterable(plans)), repeat(weights)), repeat(base))
+            if not all(map(eq, map(table.__getitem__, ranks), chain.from_iterable(map(repeat, windows, map(len, plans))))):
+                list(map(_decode, repeat(image), windows, plans, repeat(pick)))  # raises at the first that does not map back
+            decoded = map(list, map(map, repeat(pick), plans)) if reports or fails or actual != laws else ()
+            yield pattern, p, decoded and list(map(_report, repeat(group), map(of, windows), repeat(m), laws, actual, decoded))
+        for held in (table, counts, marked):
             held.clear()
+        gc.freeze()  # the collection walks none of the objects made before it
         gc.collect()
+        gc.unfreeze()
 
     return rows, blocks()
 
@@ -325,9 +344,13 @@ def fiber_blocks(group: str, n: int, m: int, whole: bool = False) -> tuple[dict,
 def fiber_reports(group: str, n: int, m: int) -> Iterator[FiberReport]:
     """The report of every sigma of B_n or D_n, in the order of
     enumerate_bn/enumerate_dn: the blocks of ``fiber_blocks`` with
-    ``whole``, flattened."""
-    for _, _, reports in fiber_blocks(group, n, m, whole=True)[1]:
-        yield from reports
+    ``reports``, flattened, with the passing windows of law 0 they leave out."""
+    rows, blocks = fiber_blocks(group, n, m, True)
+    for pattern, p, reports in blocks:
+        signs, laws = rows[pattern]
+        whole, reports = len(reports) == len(signs), iter(reports)
+        for sigma, e in zip(map(SignedPermutation._of, map(tuple, map(map, repeat(mul), signs, repeat(p)))), laws):
+            yield next(reports) if e or whole else _report(group, sigma, m, 0, 0, [])
 
 
 # -- missing-vector census ----------------------------------------------------

@@ -160,16 +160,16 @@ def _elements(n: int, group: str) -> Iterator[SignedPermutation]:
     return map(SignedPermutation._of, windows)
 
 
-def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], tuple[tuple[int, ...], list[int]]]:
-    """Per type-A descent pattern, its first permutation p in ``_signed_windows``
-    order and the type-``group`` descent counts of p's windows, in that order.  A
+def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], list]:
+    """Per type-A descent pattern, the type-``group`` descent counts of a permutation's
+    windows in ``_signed_windows`` order, and the number of permutations with it.  A
     descent between two neighbours depends only on their signs and on which absolute
     value is larger, so these are the counts of every permutation with the pattern."""
     table = {}
     for pattern, windows in _signed_windows(n, group):
         if pattern not in table:
-            windows = list(windows)  # sign mask 0 first: the permutation
-            table[pattern] = windows[0], [SignedPermutation._of(w).des(group) for w in windows]
+            table[pattern] = [[SignedPermutation._of(w).des(group) for w in windows], 0]
+        table[pattern][1] += 1
     return table
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -401,24 +402,20 @@ def test_fibers_workload_output_matches_the_bench_goldens(capsys):
 def test_fibers_exit_code_counts_every_report(capsys, monkeypatch):
     # one failing report in the middle of the stream fails the run, and the
     # reports after it are still printed; the second item of B_2's first
-    # block, -1,2, has the nonzero law C(2 + 1 - 1, 2) = 1 at m = 1
-    real = map_d.fiber_blocks
+    # block, -1,2, has the nonzero law C(2 + 1 - 1, 2) = 1 at m = 1, and the
+    # count oracle is made to read one vector more on it
+    real = map_d.fiber_counts
 
-    def fail_the_second(*args):
-        rows, blocks = real(*args)
+    def one_more(*args):
+        counts = real(*args)
+        counts[(-1, 2)] += 1
+        return counts
 
-        def failing():
-            for i, (pattern, p, reports) in enumerate(blocks):
-                if i == 0:
-                    reports[1] = reports[1]._replace(passed=False)
-                yield pattern, p, reports
-
-        return rows, failing()
-
-    monkeypatch.setattr(map_d, "fiber_blocks", fail_the_second)
+    monkeypatch.setattr(map_d, "fiber_counts", one_more)
     code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "2", "--m", "1", "--format", "json")
     assert code == 1
     assert [d["pass"] for d in json.loads(out)] == [True, False] + [True] * 6
+    assert json.loads(out)[1] == {"type": "B", "sigma": "-1,2", "m": 1, "expected": 1, "actual": 2, "pass": False}
 
 
 @pytest.mark.parametrize("group", ["B", "D"])
@@ -436,6 +433,24 @@ def test_fibers_exit_code_counts_a_failed_empty_law(capsys, monkeypatch, group):
     assert code == 1
     failed = [d for d in json.loads(out) if not d["pass"]]
     assert failed == [{"type": group, "sigma": "-1,-2", "m": 1, "expected": 0, "actual": 1, "pass": False}]
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["pass", "one-fails"])
+def test_fibers_leave_no_object_frozen(capsys, monkeypatch, failing):
+    # the all-sigma pass collects with the objects made before it frozen, and
+    # must thaw them whether its reports pass or not
+    real = map_d.fiber_counts
+
+    def one_more(*args):
+        counts = real(*args)
+        counts[next(iter(counts))] += 1
+        return counts
+
+    if failing:
+        monkeypatch.setattr(map_d, "fiber_counts", one_more)
+    code, _, _ = run(capsys, "fibers", "--type", "D", "--n", "4", "--m", "2", "--format", "json", "--vectors")
+    assert code == (1 if failing else 0)
+    assert gc.get_freeze_count() == 0
 
 
 def fiber_show(fmt, group, m, vectors):
@@ -522,32 +537,44 @@ def test_fibers_a_block_of_nonzero_laws_only_is_its_template(capsys, fmt):
 
 def test_fibers_a_failed_nonzero_law_report_is_written_in_full(capsys, monkeypatch):
     # the second report of B_3's third block (p = 2,1,3) has a nonzero law at
-    # m = 1; its text comes from the report, the rest of the block from the
-    # template
-    reports = list(fiber_reports("B", 3, 1))
-    real = map_d.fiber_blocks
-    failed = []
+    # m = 1, and the count oracle is made to read one vector more on it; its
+    # text comes from the report, the rest of the block from the template
+    passing = list(fiber_reports("B", 3, 1))
+    real = map_d.fiber_counts
 
-    def fail_one(*args):
-        rows, blocks = real(*args)
+    def one_more(*args):
+        counts = real(*args)
+        counts[(-2, 1, 3)] += 1
+        return counts
 
-        def failing():
-            for i, (pattern, p, reports) in enumerate(blocks):
-                if i == 2:
-                    reports[1] = reports[1]._replace(passed=False)
-                    failed.append(reports[1].sigma)
-                yield pattern, p, reports
-
-        return rows, failing()
-
-    monkeypatch.setattr(map_d, "fiber_blocks", fail_one)
+    monkeypatch.setattr(map_d, "fiber_counts", one_more)
     code, out, _ = run(capsys, "fibers", "--type", "B", "--n", "3", "--m", "1")
     assert code == 1
-    (sigma,) = failed
-    assert sigma.window == (-2, 1, 3)
-    reports = [r._replace(passed=False) if r.sigma == sigma else r for r in reports]
+    reports = list(fiber_reports("B", 3, 1))
+    (failed,) = [r for r in reports if not r.passed]
+    assert failed.sigma.window == (-2, 1, 3) and reports.index(failed) == 2 * 8 + 1
+    assert reports == [failed if r.sigma == failed.sigma else r for r in passing]
     assert out == "".join(map(fiber_show("text", "B", 1, False), reports))
-    assert [line for line in out.splitlines() if "MISMATCH" in line] == [f"sigma={sigma} m=1 expected=1 actual=1 MISMATCH"]
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [f"sigma={failed.sigma} m=1 expected=1 actual=2 MISMATCH"]
+
+
+@pytest.mark.parametrize("fault", ["repeat", "drop"])
+def test_fibers_a_faulty_plan_fails_its_windows_without_vectors(capsys, monkeypatch, fault):
+    # a decoder that puts the first chain in place of the last, or drops the
+    # last, fails every window whose law is above 1 (repeat) or 0 (drop); the
+    # all-sigma text without --vectors writes each such report in full
+    chains = map_d.decode_abs_chains
+
+    def faulty(descents, n, m):
+        decoded = list(chains(descents, n, m))
+        return iter(decoded[:-1] + decoded[:1] if fault == "repeat" else decoded[:-1])
+
+    monkeypatch.setattr(map_d, "decode_abs_chains", faulty)
+    code, out, _ = run(capsys, "fibers", "--type", "D", "--n", "3", "--m", "2")
+    reports = list(fiber_reports("D", 3, 2))
+    assert code == 1
+    assert out == "".join(map(fiber_show("text", "D", 2, False), reports))
+    assert sum(not r.passed for r in reports) == sum(r.expected_size > (fault == "repeat") for r in reports) > 0
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])

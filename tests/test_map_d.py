@@ -1,9 +1,13 @@
 """The partial type-D map, missing-vector census, and type-D identities."""
 
 import ast
+import gc
 import json
 import tracemalloc
+import weakref
+from itertools import islice, permutations
 from math import factorial
+from operator import gt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -137,15 +141,18 @@ def test_fiber_counts_equal_the_vector_oracles(n):
 
 @pytest.mark.parametrize("group", ["B", "D"])
 def test_images_are_the_forward_map_of_each_vector_in_order(group):
-    for n in range(1 if group == "B" else 2, 5):
-        for m in range(3):
-            images = list(map_d._images(group, n, m))
-            assert len(images) == (2 * m + 1) ** n
-            missing = missing_census(n, m).total_count if group == "D" else 0
-            assert images.count(None) == missing
-            for v, image in zip(enumerate_vectors(n, m), images):
-                sigma = phi(v) if group == "B" else psi(v).sigma
-                assert image == (sigma and sigma.window), v
+    # the pass walks prefixes of n-1 codes: empty for type B at n = 1, and a
+    # single code for type D at n = 2, whose second-smallest code is the last
+    least = 1 if group == "B" else 2
+    grid = [(n, m) for n in range(least, 6) for m in range(3)] + [(least, m) for m in range(3, 9)]
+    for n, m in grid:
+        images = list(map_d._images(group, n, m))
+        assert len(images) == (2 * m + 1) ** n
+        missing = missing_census(n, m).total_count if group == "D" else 0
+        assert images.count(None) == missing
+        for v, image in zip(enumerate_vectors(n, m), images):
+            sigma = phi(v) if group == "B" else psi(v).sigma
+            assert image == (sigma and sigma.window), (v, m)
 
 
 @pytest.mark.parametrize("group", ["B", "D"])
@@ -237,12 +244,30 @@ def test_fiber_reports_equal_the_streamed_reports(group):
 
 def test_fiber_reports_run_one_full_collection_after_the_last_report(monkeypatch):
     # the collection that clears the free lists of the dropped count oracle
-    # runs once per group pass, after its last report, never per sigma
+    # runs once per group pass, after its last report, never per sigma, with
+    # the objects made before it frozen so that it does not walk them
     reports, calls = [], []
-    monkeypatch.setattr(map_d, "gc", SimpleNamespace(collect=lambda: calls.append(len(reports))))
+
+    def recorder(name):
+        return lambda: calls.append((name, len(reports)))
+
+    monkeypatch.setattr(map_d, "gc", SimpleNamespace(**{name: recorder(name) for name in ("freeze", "collect", "unfreeze")}))
     for report in fiber_reports("D", 3, 1):
         reports.append(report)
-    assert calls == [len(reports)] == [24]
+    assert len(reports) == 24
+    assert calls == [("freeze", 24), ("collect", 24), ("unfreeze", 24)]
+
+
+@pytest.mark.parametrize("taken", [0, 3, 6], ids=["never-iterated", "closed-mid-pass", "drained"])
+def test_fiber_blocks_leave_no_object_frozen(taken):
+    # D_3 has 6 blocks; a reader that stops early (a closed pipe) closes the
+    # generator before its collection, and a drained one has run it
+    _, blocks = map_d.fiber_blocks("D", 3, 1)
+    assert len(list(islice(blocks, taken))) == taken
+    if taken == 6:
+        assert next(blocks, None) is None
+    blocks.close()
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize(
@@ -357,12 +382,41 @@ def test_a_decoded_entry_outside_the_letters_is_refused_not_aliased(monkeypatch,
 
 
 @pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_reports_reject_a_chain_that_does_not_map_back_at_n3(monkeypatch, group):
+    # (1, 0, 0) decodes, for 1,2,3, to the vector (1, 0, 0), which both maps
+    # send to 2,3,1: the block check past n = 2, where a block has more windows
+    monkeypatch.setattr(map_d, "decode_abs_chains", lambda des_set, n, m: iter([(1, 0, 0)]))
+    with pytest.raises(ArithmeticError, match=r"\(1, 0, 0\) does not map back to 1,2,3 \(got \(2, 3, 1\)\)"):
+        list(fiber_reports(group, 3, 1))
+    with pytest.raises(ArithmeticError, match="does not map back"):
+        fiber_vectors(group, SignedPermutation((1, 2, 3)), 1)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_a_decoded_entry_outside_the_letters_is_refused_at_n3(monkeypatch, group):
+    # the fiber of 1,2,3 at m = 1 is (0,0,0), (0,0,1), (0,1,1), (1,1,1);
+    # (0,1,-2) has the base-3 rank 14 of (0,0,1), whose image is 1,2,3
+    chains = map_d.decode_abs_chains
+
+    def alias_for_001(descents, n, m):
+        return iter([(0, 0, 0), (0, 1, -2), (0, 1, 1), (1, 1, 1)]) if descents == () else chains(descents, n, m)
+
+    monkeypatch.setattr(map_d, "decode_abs_chains", alias_for_001)
+    with pytest.raises(ArithmeticError, match=r"\(0, 1, -2\) of 1,2,3 has an entry outside -1..1"):
+        list(fiber_reports(group, 3, 1))
+    with pytest.raises(ArithmeticError, match="outside -1..1"):
+        fiber_vectors(group, SignedPermutation((1, 2, 3)), 1)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
 def test_fiber_blocks_keep_exactly_the_passing_law_zero_windows_bare(group):
-    # a block reports the windows of nonzero law; the windows it leaves out
-    # are exactly the passing law-0 ones
+    # a block asked for reports reports the windows of nonzero law; the
+    # windows it leaves out are exactly the passing law-0 ones, and a passing
+    # block not asked for reports carries none
     for n in range(1 if group == "B" else 2, 5):
         for m in range(3):
-            rows, blocks = map_d.fiber_blocks(group, n, m)
+            assert [block for _, _, block in map_d.fiber_blocks(group, n, m)[1]] == [()] * factorial(n)
+            rows, blocks = map_d.fiber_blocks(group, n, m, True)
             blocks = list(blocks)
             assert len(blocks) == factorial(n) and len(rows) == 2 ** (n - 1)
             counts = fiber_counts(group, n, m)
@@ -375,9 +429,36 @@ def test_fiber_blocks_keep_exactly_the_passing_law_zero_windows_bare(group):
                 assert [r.sigma.window for r in full] == windows
                 assert [r.expected_size for r in full] == laws == [fiber_size(group, SignedPermutation(w), m) for w in windows]
                 assert [r.oracle_size for r in full] == [counts[w] for w in windows]
-                assert block == [r for r in full if r.expected_size]
+                assert list(block) == [r for r in full if r.expected_size]
                 assert all((r.oracle_size, r.vectors, r.passed) == (0, (), True) for r in full if not r.expected_size)
             assert next(reports, None) is None
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fiber_blocks_hold_a_patterns_plans_from_its_first_block_to_its_last(monkeypatch, group):
+    # a plan is made at its pattern's first block and freed after the last,
+    # so the pass holds only the plans of the patterns it is between
+    class Plan(list):
+        pass
+
+    made = []
+    real = map_d._plan
+
+    def plan(window, m, descents):
+        p, kept = tuple(map(abs, window)), Plan(real(window, m, descents))
+        made.append((tuple(map(gt, p, p[1:])), weakref.ref(kept)))
+        return kept
+
+    monkeypatch.setattr(map_d, "_plan", plan)
+    patterns = [tuple(map(gt, p, p[1:])) for p in permutations(range(1, 5))]
+    rows, blocks = map_d.fiber_blocks(group, 4, 2)
+    planned = {pattern for pattern, (_, laws) in rows.items() if any(laws)}
+    assert made == []
+    for k, (pattern, _, _) in enumerate(blocks):
+        assert pattern == patterns[k]
+        assert {pat for pat, _ in made} == set(patterns[: k + 1]) & planned
+        assert {pat for pat, ref in made if ref() is not None} <= set(patterns[k:])
+    assert all(ref() is None for _, ref in made)
 
 
 @pytest.mark.parametrize("group", ["B", "D"])

@@ -151,14 +151,13 @@ def test_descent_table_equals_des_on_every_element(group, n):
     # one row per type-A descent pattern, read by every permutation with it
     table = _descent_table(group, n)
     assert len(table) == 2 ** (n - 1)
-    first = {}
+    perms = {}
     for pattern, windows in _signed_windows(n, group):
-        windows = list(windows)
-        first.setdefault(pattern, windows[0])
-        assert table[pattern][1] == [SignedPermutation(w).des(group) for w in windows], pattern
-    # each row's permutation is the first one with its pattern, every sign +
-    assert {pattern: row[0] for pattern, row in table.items()} == first
-    assert all(min(p) > 0 for p in first.values())
+        assert table[pattern][0] == [SignedPermutation(w).des(group) for w in windows], pattern
+        perms[pattern] = perms.get(pattern, 0) + 1
+    # each row counts the permutations with its pattern
+    assert {pattern: row[1] for pattern, row in table.items()} == perms
+    assert sum(perms.values()) == math.factorial(n)
 
 
 def test_enumeration_is_deterministic():
