@@ -7,8 +7,11 @@ cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 
 Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
 also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``: all-sigma,
-each block of ``map_d.fiber_blocks`` is its descent pattern's template text
-under one ``str.translate`` of placeholders to the permutation's letters.
+``map_d.fiber_blocks`` checks the permutations of each descent pattern at once,
+at the pattern's first block, and each block is its pattern's template text (the
+writer's text after a window made once per distinct law) under one
+``str.translate`` of placeholders to the permutation's letters; a report's own
+text goes in only with --vectors or for a recorded failure.
 The vector sweeps run in one pass in this process (--jobs has no effect).
 Oversize work exits 2 before it starts: n past MAX_ROW_N, or a ``verify`` or
 ``missing`` grid or a ``fibers`` command past MAX_STEPS.
@@ -68,9 +71,11 @@ IDENTITIES = {
 # --sigma report pays 4 per vector of its image pass (0.2-1.5 us each) and 36
 # per vector of the at most C(n+m, n) it decodes (3-14 us and about 200 B each).
 # All-sigma pays per vector of its count pass, each decoded once from the plans of
-# one descent pattern at a time (at n = 2 under 70 B a vector in B, 40 B in D), plus
-# 2 per group element (about 1 us each), |B_n| = 2^n n! and |D_n| = 2^(n-1) n!.  The
-# largest admitted commands take up to 3.5 s and peak under 60 MB RSS.
+# its descent pattern and checked with the pattern's other permutations (at n = 2
+# and 3, 1.4-2.1 us and under 70 B a vector in B, 0.9-1.0 us and 40 B in D), plus
+# 2 per group element, |B_n| = 2^n n! and |D_n| = 2^(n-1) n! (0.1-0.2 us each at
+# n = 7, m = 0, where a block is its template).  The largest admitted commands
+# take up to 3.5 s and peak under 60 MB RSS.
 def _fiber_steps(group: str, sigma: bool):
     if sigma:
         return lambda n, m: 4 * (2 * m + 1) ** n + 36 * comb(n + m, n)
@@ -219,7 +224,9 @@ def cmd_fibers(args) -> int:
     sep, bracket, tail = (", ", "[", lambda ok: "]\n") if args.format == "json" else ("", "", lambda ok: "")
     rows, blocks = map_d.fiber_blocks(args.type, args.n, args.m, args.vectors)
     marks = [head + ",".join("-" * (x < 0) + chr(k) for k, x in enumerate(s, 1)) for s in next(iter(rows.values()))[0]]
-    window = lambda mark, law: f"\0{mark}{rest(law, law, True, ())}\0" if law else mark + rest(0, 0, True, ())  # noqa: E731
+    # the text after a passing window, made once per distinct law (at most n + 2 of them)
+    tails = {law: rest(law, law, True, ()) for law in {law for _, laws in rows.values() for law in laws}}
+    window = lambda mark, law: f"\0{mark}{tails[law]}\0" if law else mark + tails[0]  # noqa: E731
     templates = {pattern: (len(laws) - laws.count(0), sep.join(map(window, marks, laws))) for pattern, (_, laws) in rows.items()}
     table = [None, *map(chr, range(1, 128))]
 

@@ -18,11 +18,12 @@ The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded by one path
 from the chains of the type's descent set, and counted by one pass over the
 position codes of every vector, ``_images``.  ``fiber_report`` checks one sigma,
 each decoded vector validated by a phi or psi call.  ``fiber_blocks`` checks
-every sigma, one block per permutation of 1..n: its windows of nonzero law
-(des <= m) at once, each decoded from a plan shared by its (type-A descent
-pattern, sign mask) key and found by rank in an image table, with reports built
-only where read; a law-0 window passes unless it is a count oracle key.
-``fiber_reports`` flattens the blocks.
+every sigma, one block per permutation of 1..n: at a type-A descent pattern's
+first block, the windows of nonzero law (des <= m) of all its permutations at
+once, each decoded from a plan shared by its (pattern, sign mask) key and found
+by rank in an image table; the blocks then write, with reports built only where
+read.  A law-0 window passes unless it is a count oracle key.  ``fiber_reports``
+flattens the blocks.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -33,18 +34,20 @@ deviating closed form of the full q-identity is kept as an erratum probe.
 from __future__ import annotations
 
 import gc
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import chain, compress, product, repeat
-from operator import countOf, eq, gt, itemgetter, mul
+from itertools import chain, compress, count, permutations, product, repeat
+from operator import add, countOf, gt, itemgetter, mul, ne
 from typing import Iterator, NamedTuple
 
 from .bernoulli import power_sum, worpitzky_d_lhs
 from .exactnum import ONE_PLUS_Q, QPolynomial, binom
 from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
-from .signed_perm import SignedPermutation, _descent_table, _signed_windows
+from .signed_perm import SignedPermutation, _descent_table, _signs
 from .sigma_vectors import (
     Vector,
     _columns,
@@ -218,7 +221,8 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
     codes, sorted once, each last code put in by ``bisect``.  Type D reads psi's
     case through ``_code_case`` from the classes of the two smallest codes, as
     ``_census_fold`` does (under 8 w^4 cached entries whatever m is), and the code
-    sum's parity.  It builds no SignedPermutation and keeps no vector."""
+    sum's parity, with each last code's entry, class and sign bit read once.  It
+    builds no SignedPermutation and keeps no vector."""
     if group not in ("B", "D"):
         raise ValueError(f"unknown type {group!r}, expected B or D")
     least = 2 if group == "D" else 1
@@ -228,25 +232,39 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
     *head, last = _columns(n, m)
     entry = {code: code_entry(code, n) for column in head for code in column}.__getitem__
     ends = [(code_entry(c, n),) for c in last]  # at n = 1 these are the windows
-    klass = {c: c if c < ww else c % ww + ww for column in (*head, last) for c in column}.__getitem__ if group == "D" else None
+    if group == "B":
+        for prefix in product(*head):
+            low = sorted(prefix)
+            pe = tuple(map(entry, low))
+            for i, e in zip(map(bisect_left, repeat(low), last), ends):
+                yield pe[:i] + e + pe[i:]
+        return
+    klass = {c: c if c < ww else c % ww + ww for column in (*head, last) for c in column}.__getitem__
     case = lru_cache(maxsize=None)(partial(_code_case, n))
+    lasts = list(zip(last, ends, map(klass, last), [c % w for c in last]))  # a last code's entry, class and sign bit
     for prefix in product(*head):
         low = sorted(prefix)
         pe = tuple(map(entry, low))
-        if group == "B":
-            for i, e in zip(map(bisect_left, repeat(low), last), ends):
-                yield pe[:i] + e + pe[i:]
-            continue
-        s, flipped = sum(prefix), (-pe[0],) + pe[1:]
+        parity, flipped = sum(prefix) % w & 1, (-pe[0],) + pe[1:]
         ka, kb = klass(low[0]), klass(low[n > 2])  # kb is read only past n = 2
-        for c, e in zip(last, ends):
+        # past the two smallest codes the case follows the parity alone: read once a parity, when
+        # first met, as a case that never occurs can be one that _missing_case refuses
+        past = [None, None]
+        for c, e, k, negative in lasts:
             i = bisect_left(low, c)
-            odd = (s + c) % w & 1
-            k1, k2 = (klass(c), ka) if i == 0 else (ka, klass(c)) if i == 1 else (ka, kb)
-            if case(k1, k2, odd) < len(MISSING_CASES):
+            odd = parity ^ negative
+            if i > 1:
+                if past[odd] is None:
+                    past[odd] = case(ka, kb, odd)
+                missing = past[odd]
+            else:
+                missing = case(k, ka, odd) if i == 0 else case(ka, k, odd)
+            if missing < len(MISSING_CASES):
                 yield None
-            else:  # a zero (a code below w^2) and odd negatives: psi flips sigma_1
-                yield ((-e[0],) + pe if i == 0 else flipped[:i] + e + pe[i:]) if odd and k1 < ww else pe[:i] + e + pe[i:]
+            elif odd and (k if i == 0 else ka) < ww:  # a zero (a code below w^2) and odd negatives: psi flips sigma_1
+                yield (-e[0],) + pe if i == 0 else flipped[:i] + e + pe[i:]
+            else:
+                yield pe[:i] + e + pe[i:]
 
 
 def fiber_counts(group: str, n: int, m: int, table: list | None = None) -> Counter[tuple[int, ...]]:
@@ -281,57 +299,96 @@ def fiber_report(group: str, sigma: SignedPermutation, m: int) -> FiberReport:
     return _report(group, sigma, m, expected, actual, fiber_vectors(group, sigma, m) if expected else [])
 
 
+def _ranks(plans: list, perms: list, m: int, code: str) -> memoryview:
+    """The base-(2m+1) rank of every vector decoded from ``plans`` for each of ``perms``,
+    permutation by permutation, row by row.  Permutation p puts entry i of a row at
+    vector position p_i, so the row's rank is sum_i (entry_i + m) W^(n - p_i), W = 2m+1.
+    Column i of the rows is packed into one int from an ``array``, a ``code`` item (wide
+    enough for W^n - 1) a row, so p's ranks are n products by scalars and one ``to_bytes``
+    in native order, all read back by one ``memoryview`` cast."""
+    n, size, order = len(perms[0]), array(code).itemsize, sys.byteorder
+    rows = sum(map(len, plans))
+    columns = [int.from_bytes(array(code, map(add, map(itemgetter(i), chain.from_iterable(plans)), repeat(m))), order) for i in range(n)]
+    scale = [None, *((2 * m + 1) ** (n - v) for v in range(1, n + 1))].__getitem__  # by letter
+    packed = map(sum, map(map, repeat(mul), repeat(columns), map(map, repeat(scale), perms)))
+    return memoryview(b"".join(map(int.to_bytes, packed, repeat(rows * size), repeat(order)))).cast(code)
+
+
+def _failing(perms: list, sign: list, laws: list, plans: list, counts: dict, table: list, m: int, code: str) -> set:
+    """The permutations among ``perms``, all of one type-A descent pattern, one of whose
+    windows of signs ``sign`` and nonzero ``laws`` fails: its count is not its law, or a
+    vector decoded from its plan in ``plans`` has a rank whose image in ``table`` is
+    another window.  The counts of every permutation's windows are compared with their
+    laws in one pass, and the images of all their ranks with the windows, each repeated
+    by its plan's length, in another."""
+    k, width, rows = len(perms), len(sign), sum(map(len, plans))
+    windows = list(map(tuple, map(map, repeat(mul), sign * k, chain.from_iterable(map(repeat, perms, repeat(width))))))
+    repeated = chain.from_iterable(map(repeat, windows, chain.from_iterable(repeat(list(map(len, plans)), k))))
+    counted = compress(count(), map(ne, map(counts.get, windows, repeat(0)), chain.from_iterable(repeat(laws, k))))
+    mapped = compress(count(), map(ne, map(table.__getitem__, _ranks(plans, perms, m, code)), repeated))
+    return {perms[j // width] for j in counted} | {perms[j // rows] for j in mapped}
+
+
 def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dict, Iterator[tuple]]:
     """Every sigma of B_n or D_n checked by the rule of ``fiber_report``, as ``(rows,
     blocks)``: per type-A descent pattern the signs and size laws of its windows in
-    ``_signed_windows`` order, and per permutation p of 1..n ``(pattern, p, reports)``.
-    A block checks p's windows of nonzero law at once in C-level maps, their counts as
-    one list and each decoded vector by its rank in the image table.  It reports them
-    with ``reports`` or if one fails (the others pass with law and count 0), all its
-    windows if one of law 0 is counted, else ().  A pattern's plans live from its first
-    block to its last.  The pass ends in a collection with the older objects frozen
-    (microseconds, not 2-5 ms), clearing the tuple free list (3 MB after D_6 at m=2)."""
+    ``_signs`` order, and per permutation p of 1..n ``(pattern, p, reports)``.  A
+    pattern's first block checks the windows of nonzero law (des <= m) of all its
+    permutations at once (``_failing``), each decoded vector by its rank in the image
+    table, and records the permutations that fail.  A block reports its windows of
+    nonzero law with ``reports`` or if p failed (the others pass with law and count 0),
+    all its windows if one of law 0 is counted, else (); ``_decode`` names the first
+    vector of a failed block that does not map back.  A pattern's plans live from its
+    first block to its last.  The pass ends in a collection with the older objects
+    frozen (microseconds, not 2-5 ms), clearing the tuple free list (3 MB after D_6 at m=2)."""
     table: list = []
     counts = fiber_counts(group, n, m, table)
     weights = [(2 * m + 1) ** k for k in reversed(range(n))]
     base = m * sum(weights)
     image = lambda v: table[sum(map(mul, v, weights), base)]  # noqa: E731
+    code = next(c for c in "BHIQ" if array(c).itemsize * 8 >= ((2 * m + 1) ** n - 1).bit_length())
     law = [binom(n + m - d, n) for d in range(n + 1)]
     of = SignedPermutation._of
-    signs = [tuple(x // abs(x) for x in w) for w in next(_signed_windows(n, group))[1]]
-    left = _descent_table(group, n)  # per pattern its descent counts and its blocks to come
-    rows = {pattern: (signs, [law[d] for d in des]) for pattern, (des, _) in left.items()}
+    signs = _signs(n, group)
+    patterns = _descent_table(group, n)  # per pattern its descent sets and its permutations
+    rows = {pattern: (signs, [law[d.bit_count()] for d in sets]) for pattern, (sets, _) in patterns.items()}
+    # the signs, laws and descent sets of each pattern's windows of nonzero law, made before the
+    # blocks: list() of an empty iterator mallocs 1 byte outside pymalloc, and such a chunk freed
+    # among the blocks' texts keeps their heap pages (+2 MB of captured `fibers` output)
+    nonzero = {pattern: [[x for x, e in zip(xs, laws) if e] for xs in (signs, laws, patterns[pattern][0])] for pattern, (_, laws) in rows.items()}
     # a counted window of law 0 has des > m: B reads position 0 against 0, D against -w[1]
     marked = {tuple(map(abs, w)) for w in counts if sum(map(gt, (-w[1] if group == "D" else 0,) + w, w)) > m}
 
     def blocks():
         kept = dict.fromkeys(rows)  # sized first: a table made among the blocks' texts can pin their pages
-        for pattern, windows in _signed_windows(n, group):
-            p = next(windows)  # sign mask 0
-            if kept[pattern] is None:  # its first block: the plans of its windows of nonzero law
+        for p in permutations(range(1, n + 1)):
+            pattern = tuple(map(gt, p, p[1:]))
+            perms = patterns[pattern][1]
+            if kept[pattern] is None:  # its first block: the plans of its windows of nonzero law, checked
                 plans = ()  # a finished pattern's go before these are made
-                sign, laws = (list(compress(x, rows[pattern][1])) for x in rows[pattern])
-                plans = [_plan(w, m, of(w).descents(group)) for w in map(tuple, map(map, repeat(mul), sign, repeat(p)))]
+                sign, laws, des = nonzero[pattern]
+                plans = [_plan(tuple(map(mul, s, p)), m, tuple(i for i in range(n) if d >> i & 1)) for s, d in zip(sign, des)]
                 # p only reorders a chain's entries, so distinct chains decode to distinct vectors
-                kept[pattern] = not all(len(plan) == len(set(plan)) == e for plan, e in zip(plans, laws)), sign, laws, plans
-            fails, sign, laws, plans = kept[pattern]
-            left[pattern][1] -= 1
-            kept[pattern] = kept[pattern] if left[pattern][1] else ()  # dropped after its last block
+                fails = not all(len(plan) == len(set(plan)) == e for plan, e in zip(plans, laws))
+                kept[pattern] = fails, laws and _failing(perms, sign, laws, plans, counts, table, m, code), sign, laws, plans
+            fails, failing, sign, laws, plans = kept[pattern]
+            if p == perms[-1]:
+                kept[pattern] = ()  # dropped after its last block
             if p in marked:  # every window, those of law 0 with no plan
                 sign, laws = rows[pattern]
                 plans = iter(plans)
                 plans = [next(plans) if e else () for e in laws]
-            elif not laws:
+            elif not laws or not (reports or fails or p in failing):
                 yield pattern, p, ()
                 continue
             windows = list(map(tuple, map(map, repeat(mul), sign, repeat(p))))
-            actual = list(map(counts.get, windows, repeat(0)))
             pick = _picker(p)
-            ranks = map(sum, map(map, repeat(mul), map(pick, chain.from_iterable(plans)), repeat(weights)), repeat(base))
-            if not all(map(eq, map(table.__getitem__, ranks), chain.from_iterable(map(repeat, windows, map(len, plans))))):
-                list(map(_decode, repeat(image), windows, plans, repeat(pick)))  # raises at the first that does not map back
-            decoded = map(list, map(map, repeat(pick), plans)) if reports or fails or actual != laws else ()
-            yield pattern, p, decoded and list(map(_report, repeat(group), map(of, windows), repeat(m), laws, actual, decoded))
+            if p in failing:  # raises at the first vector that does not map back
+                decoded = map(_decode, repeat(image), windows, plans, repeat(pick))
+            else:
+                decoded = map(list, map(map, repeat(pick), plans))
+            actual = map(counts.get, windows, repeat(0))
+            yield pattern, p, list(map(_report, repeat(group), map(of, windows), repeat(m), laws, actual, decoded))
         for held in (table, counts, marked):
             held.clear()
         gc.freeze()  # the collection walks none of the objects made before it

@@ -136,18 +136,25 @@ class SignedPermutation:
         return self.neg() % 2 == 0
 
 
+def _masks(n: int, group: str) -> list[int]:
+    """The sign masks of a permutation's type-``group`` windows, increasing (bit i
+    negates entry i): all 2^n in type B, the even ones in D and mask 0 in A."""
+    return [mask for mask in range(1 if group == "A" else 1 << n) if group != "D" or mask.bit_count() % 2 == 0]
+
+
+def _signs(n: int, group: str) -> list[tuple[int, ...]]:
+    """The signs of a permutation's type-``group`` windows in ``_masks`` order."""
+    return [tuple(-1 if mask >> i & 1 else 1 for i in range(n)) for mask in _masks(n, group)]
+
+
 def _signed_windows(n: int, group: str) -> Iterator[tuple[tuple[bool, ...], Iterator[tuple[int, ...]]]]:
     """Each permutation p of 1..n, lexicographic, as its type-A descent
     pattern ``tuple(map(gt, p, p[1:]))`` and an iterator over the
-    type-``group`` windows of absolute values p by increasing sign mask
-    (bit i negates entry i): all masks in type B, the even ones in D and
-    mask 0 in A.  The windows are built in C, by ``map(mul, sign, p)``:
-    exact-size ones (a product of the pairs (x, -x), reversed by a slice)
-    were faster but raised a ``fibers`` session's peak RSS by up to 3 MB."""
-    masks = range(1 if group == "A" else 1 << n)
-    signs = [tuple(-1 if mask >> i & 1 else 1 for i in range(n)) for mask in masks]
-    if group == "D":
-        signs = [sign for sign in signs if sign.count(-1) % 2 == 0]
+    type-``group`` windows of absolute values p in ``_signs`` order.  The windows
+    are built in C, by ``map(mul, sign, p)``: exact-size ones (a product of the
+    pairs (x, -x), reversed by a slice) were faster but raised a ``fibers``
+    session's peak RSS by up to 3 MB."""
+    signs = _signs(n, group)
     muls = itertools.repeat(mul)
     for p in itertools.permutations(range(1, n + 1)):
         yield tuple(map(gt, p, p[1:])), map(tuple, map(map, muls, signs, itertools.repeat(p)))
@@ -160,16 +167,28 @@ def _elements(n: int, group: str) -> Iterator[SignedPermutation]:
     return map(SignedPermutation._of, windows)
 
 
-def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], list]:
-    """Per type-A descent pattern, the type-``group`` descent counts of a permutation's
-    windows in ``_signed_windows`` order, and the number of permutations with it.  A
-    descent between two neighbours depends only on their signs and on which absolute
-    value is larger, so these are the counts of every permutation with the pattern."""
-    table = {}
-    for pattern, windows in _signed_windows(n, group):
+def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], tuple[list[int], list[tuple[int, ...]]]]:
+    """Per type-A descent pattern, from one pass over the permutations of 1..n: the
+    type-``group`` descent sets (bit i for position i) of a permutation's windows in
+    ``_masks`` order, and its permutations, lexicographic.  A descent depends only on
+    two neighbours' signs, a and c (1 if negative), and b = 1 if the first is the larger
+    in absolute value: there is one unless a >= b >= c.  So the sets are read from the
+    pattern's and each mask's bits.  Position 0 is a descent in type B if sigma_1 < 0, and
+    in D if -sigma_1 > sigma_2: the rule at position 1 with sigma_1's sign flipped."""
+    masks = _masks(n, group)
+    inner = (1 << n) - 2  # positions 1..n-1
+
+    def rule(larger: int, mask: int) -> int:  # b at position i in larger's bits, c in mask's, a in mask << 1's
+        return larger & ~(mask << 1) | mask & ~larger
+
+    zero = {"A": lambda larger, mask: 0, "B": lambda larger, mask: mask & 1, "D": lambda larger, mask: rule(larger, mask ^ 1) >> 1 & 1}[group]
+    table: dict = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        pattern = tuple(map(gt, p, p[1:]))
         if pattern not in table:
-            table[pattern] = [[SignedPermutation._of(w).des(group) for w in windows], 0]
-        table[pattern][1] += 1
+            larger = sum(b << i for i, b in enumerate(pattern, 1))
+            table[pattern] = [rule(larger, mask) & inner | zero(larger, mask) for mask in masks], []
+        table[pattern][1].append(p)
     return table
 
 

@@ -5,6 +5,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import multiprocessing.process
@@ -556,6 +557,49 @@ def test_fibers_a_failed_nonzero_law_report_is_written_in_full(capsys, monkeypat
     assert reports == [failed if r.sigma == failed.sigma else r for r in passing]
     assert out == "".join(map(fiber_show("text", "B", 1, False), reports))
     assert [line for line in out.splitlines() if "MISMATCH" in line] == [f"sigma={failed.sigma} m=1 expected=1 actual=2 MISMATCH"]
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_fibers_a_failure_past_a_patterns_first_permutation_stays_in_its_block(capsys, monkeypatch, group):
+    # a descent pattern's first block checks every permutation with the pattern at once;
+    # 2,4,1,3 is the fourth of the five with the pattern of 1,3,2,4, and its window
+    # of plus signs has the law C(4 + 1 - 1, 4) = 1 at m = 1 in both types
+    sigma, argv = (2, 4, 1, 3), ["fibers", "--type", group, "--n", "4", "--m", "1"]
+    pattern = [p for p in itertools.permutations(range(1, 5)) if [a > b for a, b in zip(p, p[1:])] == [False, True, False]]
+    assert pattern.index(sigma) == 3
+    code, clean, _ = run(capsys, *argv)
+    line = "sigma=2,4,1,3 m=1 expected=1 actual=1 ok\n"
+    assert code == 0 and clean.count(line) == 1
+    earlier = clean[: clean.index(line)]
+    assert "sigma=1,3,2,4 " in earlier and "sigma=2,3,1,4 " in earlier
+    real = map_d.fiber_counts
+
+    def one_more(*args):
+        counts = real(*args)
+        counts[sigma] += 1
+        return counts
+
+    # a wrong count changes that report alone, the one block that reports
+    monkeypatch.setattr(map_d, "fiber_counts", one_more)
+    assert [p for _, p, reports in map_d.fiber_blocks(group, 4, 1)[1] if reports] == [sigma]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == clean.replace(line, "sigma=2,4,1,3 m=1 expected=1 actual=2 MISMATCH\n")
+    # an image table in which sigma's one vector maps elsewhere, its count left as it is:
+    # the error names the vector and sigma at sigma's block, after every earlier block
+    (v,) = fiber_vectors(group, SignedPermutation(sigma), 1)
+    rank = sum((a + 1) * 3 ** (3 - i) for i, a in enumerate(v))
+
+    def one_moved(*args):
+        counts = real(*args)
+        args[3][rank] = (1, 2, 3, 4)
+        return counts
+
+    monkeypatch.setattr(map_d, "fiber_counts", one_moved)
+    message = rf"decoded vector \({', '.join(map(str, v))},?\) does not map back to 2,4,1,3 \(got \(1, 2, 3, 4\)\)"
+    with pytest.raises(ArithmeticError, match=message):
+        main(argv)
+    assert capsys.readouterr().out == earlier
 
 
 @pytest.mark.parametrize("fault", ["repeat", "drop"])

@@ -5,6 +5,7 @@ import gc
 import json
 import tracemalloc
 import weakref
+from array import array
 from itertools import islice, permutations
 from math import factorial
 from operator import gt
@@ -38,7 +39,7 @@ from worpitzky.map_d import (
     verify_balance_d_q,
     verify_worpitzky_d_q1,
 )
-from worpitzky.signed_perm import SignedPermutation, enumerate_bn, enumerate_dn
+from worpitzky.signed_perm import SignedPermutation, _descent_table, _signs, enumerate_bn, enumerate_dn
 from worpitzky.sigma_vectors import enumerate_vectors, neg2_vec, position_code
 
 
@@ -459,6 +460,47 @@ def test_fiber_blocks_hold_a_patterns_plans_from_its_first_block_to_its_last(mon
         assert {pat for pat, _ in made} == set(patterns[: k + 1]) & planned
         assert {pat for pat, ref in made if ref() is not None} <= set(patterns[k:])
     assert all(ref() is None for _, ref in made)
+
+
+@pytest.mark.parametrize(
+    "group,n,m,narrowest",
+    [("B", 1, 4, "B")] + [(g, *nm) for g in "BD" for nm in [(2, 1, "B"), (3, 2, "B"), (4, 1, "B"), (4, 2, "H"), (2, 150, "I")]],
+)
+def test_packed_ranks_are_the_ranks_of_the_decoded_vectors(group, n, m, narrowest):
+    # a pattern's plans, read for every permutation with it, packed as the all-sigma
+    # pass checks them: the base-(2m+1) rank of each vector in permutation, plan and
+    # row order, for every item width that holds (2m+1)^n - 1
+    widths = [c for c in "BHIQ" if array(c).itemsize * 8 >= ((2 * m + 1) ** n - 1).bit_length()]
+    assert widths[0] == narrowest
+    signs = _signs(n, group)
+    for pattern, (sets, perms) in _descent_table(group, n).items():
+        plans = [
+            map_d._plan(tuple(s * a for s, a in zip(sign, perms[0])), m, tuple(i for i in range(n) if d >> i & 1))
+            for sign, d in zip(signs, sets)
+            if d.bit_count() <= m
+        ]
+        expected = [
+            sum((a + m) * (2 * m + 1) ** (n - 1 - i) for i, a in enumerate(map_d._picker(p)(row)))
+            for p in perms for plan in plans for row in plan
+        ]
+        for code in widths:
+            assert list(map_d._ranks(plans, perms, m, code)) == expected, (pattern, code)
+
+
+def test_all_sigma_blocks_of_the_largest_n2_corner_stay_under_20_mib():
+    # fibers --type B --n 2 --m 263 is admitted at 9,998,260 of 10^7 steps, the
+    # largest all-sigma space at n = 2: each of its two blocks checks about half of
+    # its 277,729 vectors at once, so the rank check must pack its columns in place
+    # (a bytes object per plan row took the whole command from 35 to 55 MB RSS)
+    list(map_d.fiber_blocks("B", 2, 2)[1])  # imports and first-call allocations
+    tracemalloc.start()
+    try:
+        _, blocks = map_d.fiber_blocks("B", 2, 263)
+        assert [p for _, p, _ in blocks] == [(1, 2), (2, 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 @pytest.mark.parametrize("group", ["B", "D"])

@@ -14,6 +14,7 @@ from worpitzky.signed_perm import (
     SignedPermutation,
     _descent_table,
     _elements,
+    _masks,
     _signed_windows,
     enumerate_bn,
     enumerate_dn,
@@ -148,16 +149,25 @@ def test_signed_windows_keep_the_permutation_then_sign_mask_order(n):
 
 @pytest.mark.parametrize("group,n", [("B", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)])
 def test_descent_table_equals_des_on_every_element(group, n):
-    # one row per type-A descent pattern, read by every permutation with it
+    # one row per type-A descent pattern, read from its bits and by every
+    # permutation with it: each window's descent set, bit i for position i
     table = _descent_table(group, n)
     assert len(table) == 2 ** (n - 1)
     perms = {}
     for pattern, windows in _signed_windows(n, group):
-        assert table[pattern][0] == [SignedPermutation(w).des(group) for w in windows], pattern
-        perms[pattern] = perms.get(pattern, 0) + 1
-    # each row counts the permutations with its pattern
+        windows = [SignedPermutation(w) for w in windows]
+        assert len(table[pattern][0]) == len(windows) == len(_masks(n, group))
+        for sigma, bits in zip(windows, table[pattern][0]):
+            assert tuple(i for i in range(n) if bits >> i & 1) == sigma.descents(group), sigma
+            assert bits.bit_count() == sigma.des(group)
+        perms.setdefault(pattern, []).append(tuple(map(abs, windows[0].window)))
+    # each row lists the permutations with its pattern, in lexicographic order
     assert {pattern: row[1] for pattern, row in table.items()} == perms
-    assert sum(perms.values()) == math.factorial(n)
+    assert sum(map(len, perms.values())) == math.factorial(n)
+    # type A has one window, the permutation itself
+    assert {pattern: row[0] for pattern, row in _descent_table("A", n).items()} == {
+        pattern: [sum(1 << i for i, b in enumerate(pattern, 1) if b)] for pattern in table
+    }
 
 
 def test_enumeration_is_deterministic():
