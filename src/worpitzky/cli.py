@@ -10,8 +10,9 @@ also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``: all-sigma,
 ``map_d.fiber_blocks`` checks the permutations of each descent pattern at once,
 at the pattern's first block, and each block is its pattern's template text (the
 writer's text after a window made once per distinct law) under one
-``str.translate`` of placeholders to the permutation's letters; a report's own
-text goes in only with --vectors or for a recorded failure.
+``str.translate`` of placeholders to the permutation's letters.  With --vectors
+the reports of the windows of nonzero law go into the template; a failing
+permutation's block reports every window, and is their text alone.
 The vector sweeps run in one pass in this process (--jobs has no effect).
 Oversize work exits 2 before it starts: n past MAX_ROW_N, or a ``verify`` or
 ``missing`` grid or a ``fibers`` command past MAX_STEPS.
@@ -227,15 +228,15 @@ def cmd_fibers(args) -> int:
     # the text after a passing window, made once per distinct law (at most n + 2 of them)
     tails = {law: rest(law, law, True, ()) for law in {law for _, laws in rows.values() for law in laws}}
     window = lambda mark, law: f"\0{mark}{tails[law]}\0" if law else mark + tails[0]  # noqa: E731
-    templates = {pattern: (len(laws) - laws.count(0), sep.join(map(window, marks, laws))) for pattern, (_, laws) in rows.items()}
+    templates = {pattern: sep.join(map(window, marks, laws)) for pattern, (_, laws) in rows.items()}
     table = [None, *map(chr, range(1, 128))]
 
     def block_text(block) -> str:
         pattern, p, reports = block
-        reported, text = templates[pattern]
-        if len(reports) > reported:  # whole: a law-0 window was counted
+        if len(reports) == len(marks):  # whole: a failure, or --vectors where every law is nonzero
             return sep.join(map(show, reports))
-        if reports:  # with --vectors, or a failure
+        text = templates[pattern]
+        if reports:  # the windows of nonzero law, with --vectors
             parts = text.split("\0")
             parts[1::2] = map(show, reports)
             text = "".join(parts)

@@ -92,7 +92,7 @@ def enumerated_row(group: str, n: int) -> EulerianRow:
 
 def _insertion_row(group: str, n: int) -> EulerianRow:
     """The type-``group`` row by inserting +-N into each window of B_{N-1}
-    (+N into S_{N-1} for type A), for N = 3..n.
+    (+N into S_{N-1} for type A), for N = 3..n, from the windows of B_2 (S_2).
 
     A state is (type-A descents d, sigma_1 + sigma_2 < 0, sigma_1 > sigma_2,
     sigma_1 < 0).  Its value counts windows by q^neg2, one power per cell of
@@ -101,13 +101,13 @@ def _insertion_row(group: str, n: int) -> EulerianRow:
     the end, -N at those descents only, and every other gap adds one.
     """
     _check_n(group, n)
-    if n <= 2:
-        return enumerated_row(group, n)
+    if n == 1:  # the windows 1 and -1 (B_1), the second with a descent at 0
+        return EulerianRow(group, 1, (QPolynomial([1]),) if group == "A" else (QPolynomial([1]), QPolynomial([0, 1])))
     bits = (2**n * factorial(n)).bit_length() + 1
     signs = (True,) if group == "A" else (True, False)  # +N, -N
     layer = defaultdict(int)
-    for sigma in _elements(2, "A" if group == "A" else "B"):
-        x, y = sigma.window
+    seed = ((1, 2), (2, 1)) if group == "A" else ((1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1))
+    for x, y in seed:
         layer[x > y, x + y < 0, x > y, x < 0] += 1 << bits * (y < 0)
     for N in range(3, n + 1):
         nxt = defaultdict(int)

@@ -18,12 +18,13 @@ The fibers of ``phi`` (type B) and of ``psi`` (type D) are decoded by one path
 from the chains of the type's descent set, and counted by one pass over the
 position codes of every vector, ``_images``.  ``fiber_report`` checks one sigma,
 each decoded vector validated by a phi or psi call.  ``fiber_blocks`` checks
-every sigma, one block per permutation of 1..n: at a type-A descent pattern's
-first block, the windows of nonzero law (des <= m) of all its permutations at
-once, each decoded from a plan shared by its (pattern, sign mask) key and found
-by rank in an image table; the blocks then write, with reports built only where
-read.  A law-0 window passes unless it is a count oracle key.  ``fiber_reports``
-flattens the blocks.
+every sigma, one block per permutation of 1..n.  At a type-A descent pattern's
+first block ``_failing`` decides which of its permutations fail, all at once:
+the windows of nonzero law (des <= m), each decoded from a plan shared by its
+(pattern, sign mask) key and found by rank in an image table, and the windows of
+law 0, which fail when they are count oracle keys.  The blocks then write: bare,
+with the reports of the windows of nonzero law, or every window of a failing
+permutation, each vector re-checked.  ``fiber_reports`` flattens the blocks.
 
 The census of missing vectors carries exact closed forms for the case
 counts and for the total q-weight, plus "printed" variants of the per-case
@@ -39,7 +40,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import chain, compress, count, permutations, product, repeat
+from itertools import chain, compress, count, permutations, product, repeat, tee
 from operator import add, countOf, gt, itemgetter, mul, ne
 from typing import Iterator, NamedTuple
 
@@ -47,7 +48,7 @@ from .bernoulli import power_sum, worpitzky_d_lhs
 from .exactnum import ONE_PLUS_Q, QPolynomial, binom
 from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
-from .signed_perm import SignedPermutation, _descent_table, _signs
+from .signed_perm import SignedPermutation, _descent_table, _sigma0, _signs
 from .sigma_vectors import (
     Vector,
     _columns,
@@ -270,14 +271,13 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
 def fiber_counts(group: str, n: int, m: int, table: list | None = None) -> Counter[tuple[int, ...]]:
     """Count oracle: the size of every nonempty fiber of the type's forward
     map, keyed by window, from one pass of ``_images`` less its Nones.  A
-    list ``table`` gets every image too, interned through the oracle's keys
-    (each maps to itself until the pass ends)."""
+    list ``table`` gets every image too, each the oracle's key equal to it:
+    interned through ``setdefault`` as the pass runs, then counted."""
     if table is None:
         return Counter(filter(None, _images(group, n, m)))
     counts = Counter()
-    table.extend(w and counts.setdefault(w, w) for w in _images(group, n, m))
-    for w in counts:
-        counts[w] = 0
+    table.extend(map(counts.setdefault, *tee(_images(group, n, m))))
+    counts.clear()
     counts.update(filter(None, table))
     return counts
 
@@ -314,33 +314,42 @@ def _ranks(plans: list, perms: list, m: int, code: str) -> memoryview:
     return memoryview(b"".join(map(int.to_bytes, packed, repeat(rows * size), repeat(order)))).cast(code)
 
 
-def _failing(perms: list, sign: list, laws: list, plans: list, counts: dict, table: list, m: int, code: str) -> set:
-    """The permutations among ``perms``, all of one type-A descent pattern, one of whose
-    windows of signs ``sign`` and nonzero ``laws`` fails: its count is not its law, or a
-    vector decoded from its plan in ``plans`` has a rank whose image in ``table`` is
-    another window.  The counts of every permutation's windows are compared with their
-    laws in one pass, and the images of all their ranks with the windows, each repeated
-    by its plan's length, in another."""
-    k, width, rows = len(perms), len(sign), sum(map(len, plans))
-    windows = list(map(tuple, map(map, repeat(mul), sign * k, chain.from_iterable(map(repeat, perms, repeat(width))))))
-    repeated = chain.from_iterable(map(repeat, windows, chain.from_iterable(repeat(list(map(len, plans)), k))))
-    counted = compress(count(), map(ne, map(counts.get, windows, repeat(0)), chain.from_iterable(repeat(laws, k))))
-    mapped = compress(count(), map(ne, map(table.__getitem__, _ranks(plans, perms, m, code)), repeated))
-    return {perms[j // width] for j in counted} | {perms[j // rows] for j in mapped}
+def _failing(perms: list, sign: list, laws: list, plans: list, counts: dict, table: list, m: int, code: str, marked: set) -> set:
+    """The permutations among ``perms``, all of one type-A descent pattern, that fail: all
+    of them if a plan in ``plans`` repeats a chain or its length is not its law in ``laws``
+    (a permutation only reorders a chain's entries, so distinct chains decode to distinct
+    vectors), else those in ``marked`` and those one of whose windows of signs ``sign`` and
+    nonzero ``laws`` fails: its count is not its law, or a vector decoded from its plan has
+    a rank whose image in ``table`` is another window.  The counts of every permutation's
+    windows are compared with their laws in one pass, and the images of all their ranks
+    with the windows, each repeated by its plan's length, in another."""
+    if not all(len(plan) == len(set(plan)) == e for plan, e in zip(plans, laws)):
+        return set(perms)
+    failing = marked.intersection(perms)
+    if laws:  # no list of nothing: it mallocs 1 byte outside pymalloc (see fiber_blocks)
+        k, width, rows = len(perms), len(sign), sum(map(len, plans))
+        windows = list(map(tuple, map(map, repeat(mul), sign * k, chain.from_iterable(map(repeat, perms, repeat(width))))))
+        repeated = chain.from_iterable(map(repeat, windows, chain.from_iterable(repeat(list(map(len, plans)), k))))
+        counted = compress(count(), map(ne, map(counts.get, windows, repeat(0)), chain.from_iterable(repeat(laws, k))))
+        mapped = compress(count(), map(ne, map(table.__getitem__, _ranks(plans, perms, m, code)), repeated))
+        failing.update(perms[j // width] for j in counted)
+        failing.update(perms[j // rows] for j in mapped)
+    return failing
 
 
 def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dict, Iterator[tuple]]:
     """Every sigma of B_n or D_n checked by the rule of ``fiber_report``, as ``(rows,
     blocks)``: per type-A descent pattern the signs and size laws of its windows in
     ``_signs`` order, and per permutation p of 1..n ``(pattern, p, reports)``.  A
-    pattern's first block checks the windows of nonzero law (des <= m) of all its
-    permutations at once (``_failing``), each decoded vector by its rank in the image
-    table, and records the permutations that fail.  A block reports its windows of
-    nonzero law with ``reports`` or if p failed (the others pass with law and count 0),
-    all its windows if one of law 0 is counted, else (); ``_decode`` names the first
-    vector of a failed block that does not map back.  A pattern's plans live from its
-    first block to its last.  The pass ends in a collection with the older objects
-    frozen (microseconds, not 2-5 ms), clearing the tuple free list (3 MB after D_6 at m=2)."""
+    pattern's first block decides which of its permutations fail (``_failing``), at
+    once, each decoded vector by its rank in the image table; a counted window of law 0
+    (des > m, read once per count oracle key) fails its permutation.  A failing block
+    reports all its windows, each vector re-checked by ``_decode``, which names the
+    first that does not map back; else a block reports its windows of nonzero law with
+    ``reports`` (the others pass with law and count 0), or none.  A pattern's plans live
+    from its first block to its last.  The pass ends in a collection with the older
+    objects frozen (microseconds, not 2-5 ms), clearing the tuple free list (3 MB after
+    D_6 at m=2)."""
     table: list = []
     counts = fiber_counts(group, n, m, table)
     weights = [(2 * m + 1) ** k for k in reversed(range(n))]
@@ -356,8 +365,7 @@ def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dic
     # blocks: list() of an empty iterator mallocs 1 byte outside pymalloc, and such a chunk freed
     # among the blocks' texts keeps their heap pages (+2 MB of captured `fibers` output)
     nonzero = {pattern: [[x for x, e in zip(xs, laws) if e] for xs in (signs, laws, patterns[pattern][0])] for pattern, (_, laws) in rows.items()}
-    # a counted window of law 0 has des > m: B reads position 0 against 0, D against -w[1]
-    marked = {tuple(map(abs, w)) for w in counts if sum(map(gt, (-w[1] if group == "D" else 0,) + w, w)) > m}
+    marked = {tuple(map(abs, w)) for w in counts if sum(map(gt, (_sigma0(group, w),) + w, w)) > m}
 
     def blocks():
         kept = dict.fromkeys(rows)  # sized first: a table made among the blocks' texts can pin their pages
@@ -368,23 +376,19 @@ def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dic
                 plans = ()  # a finished pattern's go before these are made
                 sign, laws, des = nonzero[pattern]
                 plans = [_plan(tuple(map(mul, s, p)), m, tuple(i for i in range(n) if d >> i & 1)) for s, d in zip(sign, des)]
-                # p only reorders a chain's entries, so distinct chains decode to distinct vectors
-                fails = not all(len(plan) == len(set(plan)) == e for plan, e in zip(plans, laws))
-                kept[pattern] = fails, laws and _failing(perms, sign, laws, plans, counts, table, m, code), sign, laws, plans
-            fails, failing, sign, laws, plans = kept[pattern]
+                kept[pattern] = _failing(perms, sign, laws, plans, counts, table, m, code, marked), plans
+            failing, plans = kept[pattern]
             if p == perms[-1]:
                 kept[pattern] = ()  # dropped after its last block
-            if p in marked:  # every window, those of law 0 with no plan
-                sign, laws = rows[pattern]
-                plans = iter(plans)
-                plans = [next(plans) if e else () for e in laws]
-            elif not laws or not (reports or fails or p in failing):
+            whole = p in failing
+            if not (whole or reports and plans):
                 yield pattern, p, ()
                 continue
+            sign, laws = rows[pattern] if whole else nonzero[pattern][:2]
             windows = list(map(tuple, map(map, repeat(mul), sign, repeat(p))))
             pick = _picker(p)
-            if p in failing:  # raises at the first vector that does not map back
-                decoded = map(_decode, repeat(image), windows, plans, repeat(pick))
+            if whole:  # every window, law 0 too, decoded anew by its descents and re-checked
+                decoded = [_decode(image, w, _plan(w, m, of(w).descents(group)), pick) for w in windows]
             else:
                 decoded = map(list, map(map, repeat(pick), plans))
             actual = map(counts.get, windows, repeat(0))
@@ -472,9 +476,8 @@ class MissingCensus(NamedTuple):
             and self.counts["case2b"] + self.counts["case3"] == closed["B"]
             and self.total_count == closed["total"]
             and self.total_weight == closed["total_weight"]
-            and all(
-                self.weights[c].at_q1() == self.counts[c] for c in MISSING_CASES
-            )
+            # every vector classified once: missing or associated
+            and self.total_count + self.associated_count == (2 * self.m + 1) ** self.n
         )
 
     def to_json_dict(self) -> dict:

@@ -7,17 +7,18 @@ A signed permutation on n letters is stored as its window
 statistic here reads only the window.
 
 Descent sets come in three flavours, read by ``descents(group)`` and
-counted by ``des(group)``:
+counted by ``des(group)``: position i in [0, n-1] is a descent when
+sigma_i > sigma_{i+1}, where ``_sigma0`` gives sigma_0 by type:
 
-* type A: positions i in [1, n-1] with sigma_i > sigma_{i+1};
-* type B: type A plus position 0 when sigma_1 < 0;
-* type D: type A plus position 0 when sigma_1 + sigma_2 < 0.
+* type A: sigma_0 = sigma_1, so position 0 is never a descent;
+* type B: sigma_0 = 0, so position 0 is a descent when sigma_1 < 0;
+* type D: sigma_0 = -sigma_2, so position 0 is a descent when sigma_1 + sigma_2 < 0.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import gt, itemgetter, mul
+from operator import gt, mul
 from typing import Iterator
 
 from .sigma_vectors import format_vector, parse_vector
@@ -97,29 +98,15 @@ class SignedPermutation:
 
     # -- descents ------------------------------------------------------------
 
-    def _zero_descent(self, group: str) -> bool:
-        """Whether position 0 is a type-``group`` descent."""
-        w = self.window
-        if group == "B":
-            return w[0] < 0
-        if group == "D":
-            if len(w) < 2:
-                raise ValueError("type-D descents need at least two entries")
-            return w[0] + w[1] < 0
-        if group == "A":
-            return False
-        raise ValueError(f"unknown type {group!r}, expected A, B or D")
-
     def descents(self, group: str) -> tuple[int, ...]:
         """The type-``group`` descent positions in increasing order."""
         w = self.window
-        inner = tuple(itertools.compress(range(1, len(w)), map(gt, w, w[1:])))
-        return (0,) + inner if self._zero_descent(group) else inner
+        return tuple(itertools.compress(itertools.count(), map(gt, (_sigma0(group, w),) + w, w)))
 
     def des(self, group: str) -> int:
         """The number of type-``group`` descents."""
         w = self.window
-        return self._zero_descent(group) + sum(map(gt, w, w[1:]))
+        return sum(map(gt, (_sigma0(group, w),) + w, w))
 
     # -- sign statistics ----------------------------------------------------
 
@@ -136,6 +123,19 @@ class SignedPermutation:
         return self.neg() % 2 == 0
 
 
+def _sigma0(group: str, window: tuple[int, ...]) -> int:
+    """sigma_0, compared with sigma_1 at position 0: sigma_1 in type A, 0 in B, -sigma_2 in D."""
+    if group == "B":
+        return 0
+    if group == "D":
+        if len(window) < 2:
+            raise ValueError("type-D descents need at least two entries")
+        return -window[1]
+    if group == "A":
+        return window[0]
+    raise ValueError(f"unknown type {group!r}, expected A, B or D")
+
+
 def _masks(n: int, group: str) -> list[int]:
     """The sign masks of a permutation's type-``group`` windows, increasing (bit i
     negates entry i): all 2^n in type B, the even ones in D and mask 0 in A."""
@@ -147,24 +147,13 @@ def _signs(n: int, group: str) -> list[tuple[int, ...]]:
     return [tuple(-1 if mask >> i & 1 else 1 for i in range(n)) for mask in _masks(n, group)]
 
 
-def _signed_windows(n: int, group: str) -> Iterator[tuple[tuple[bool, ...], Iterator[tuple[int, ...]]]]:
-    """Each permutation p of 1..n, lexicographic, as its type-A descent
-    pattern ``tuple(map(gt, p, p[1:]))`` and an iterator over the
-    type-``group`` windows of absolute values p in ``_signs`` order.  The windows
-    are built in C, by ``map(mul, sign, p)``: exact-size ones (a product of the
-    pairs (x, -x), reversed by a slice) were faster but raised a ``fibers``
-    session's peak RSS by up to 3 MB."""
-    signs = _signs(n, group)
-    muls = itertools.repeat(mul)
-    for p in itertools.permutations(range(1, n + 1)):
-        yield tuple(map(gt, p, p[1:])), map(tuple, map(map, muls, signs, itertools.repeat(p)))
-
-
 def _elements(n: int, group: str) -> Iterator[SignedPermutation]:
-    """The windows of ``_signed_windows``, each wrapped without the
-    constructor's checks: it is a signed permutation by construction."""
-    windows = itertools.chain.from_iterable(map(itemgetter(1), _signed_windows(n, group)))
-    return map(SignedPermutation._of, windows)
+    """The type-``group`` windows of each permutation of 1..n, lexicographic, in
+    ``_signs`` order, each wrapped without the constructor's checks: it is a signed
+    permutation by construction."""
+    signs, muls = _signs(n, group), itertools.repeat(mul)
+    windows = (map(tuple, map(map, muls, signs, itertools.repeat(p))) for p in itertools.permutations(range(1, n + 1)))
+    return map(SignedPermutation._of, itertools.chain.from_iterable(windows))
 
 
 def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], tuple[list[int], list[tuple[int, ...]]]]:
@@ -173,8 +162,9 @@ def _descent_table(group: str, n: int) -> dict[tuple[bool, ...], tuple[list[int]
     ``_masks`` order, and its permutations, lexicographic.  A descent depends only on
     two neighbours' signs, a and c (1 if negative), and b = 1 if the first is the larger
     in absolute value: there is one unless a >= b >= c.  So the sets are read from the
-    pattern's and each mask's bits.  Position 0 is a descent in type B if sigma_1 < 0, and
-    in D if -sigma_1 > sigma_2: the rule at position 1 with sigma_1's sign flipped."""
+    pattern's and each mask's bits.  At position 0, sigma_0 > sigma_1 (``_sigma0``) reads
+    sigma_1 < 0 in type B, and in D -sigma_2 > sigma_1: the rule at position 1 with
+    sigma_1's sign flipped.  The tests check this bit form against ``descents``."""
     masks = _masks(n, group)
     inner = (1 << n) - 2  # positions 1..n-1
 

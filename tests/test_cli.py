@@ -602,6 +602,44 @@ def test_fibers_a_failure_past_a_patterns_first_permutation_stays_in_its_block(c
     assert capsys.readouterr().out == earlier
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fibers_a_faulty_plan_and_a_counted_law_zero_window_write_one_whole_block(capsys, monkeypatch, fmt):
+    # 1,2,3 is the only permutation with its pattern; its window of plus signs, the only
+    # window with no descent, gets a plan short of one chain, and its window -1,-2,3
+    # (law C(3 + 1 - 2, 3) = 0 at m = 1) one counted vector: both fail in one block
+    # that reports every window, and no other block reports
+    argv = ["fibers", "--type", "B", "--n", "3", "--m", "1", "--format", fmt]
+    passing = list(fiber_reports("B", 3, 1))
+    chains, real = map_d.decode_abs_chains, map_d.fiber_counts
+
+    def short(descents, n, m):
+        decoded = list(chains(descents, n, m))
+        return iter(decoded[:-1] if descents == () else decoded)
+
+    def one_more(*args):
+        counts = real(*args)
+        counts[(-1, -2, 3)] += 1
+        return counts
+
+    monkeypatch.setattr(map_d, "decode_abs_chains", short)
+    monkeypatch.setattr(map_d, "fiber_counts", one_more)
+    rows, blocks = map_d.fiber_blocks("B", 3, 1)
+    reported = [(p, len(reports)) for _, p, reports in blocks if reports]
+    assert reported == [((1, 2, 3), len(next(iter(rows.values()))[0]))]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    reports = list(fiber_reports("B", 3, 1))
+    assert [r.sigma.window for r in reports if not r.passed] == [(1, 2, 3), (-1, -2, 3)]
+    assert [r for r in reports if r.passed] == [r for r in passing if r.sigma.window not in ((1, 2, 3), (-1, -2, 3))]
+    show = fiber_show(fmt, "B", 1, False)
+    assert out == ("[" + ", ".join(map(show, reports)) + "]\n" if fmt == "json" else "".join(map(show, reports)))
+    if fmt == "text":
+        assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+            "sigma=1,2,3 m=1 expected=4 actual=4 MISMATCH",
+            "sigma=-1,-2,3 m=1 expected=0 actual=1 MISMATCH",
+        ]
+
+
 @pytest.mark.parametrize("fault", ["repeat", "drop"])
 def test_fibers_a_faulty_plan_fails_its_windows_without_vectors(capsys, monkeypatch, fault):
     # a decoder that puts the first chain in place of the last, or drops the

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from worpitzky import eulerian
 from worpitzky.eulerian import (
     MAX_ROW_N,
     _insertion_row,
@@ -149,6 +150,20 @@ def test_transfer_dp_equals_enumeration_oracle(group, n):
     assert len(row.entries) == len(oracle.entries)
     for k, (got, want) in enumerate(zip(row.entries, oracle.entries)):
         assert got == want, (group, n, k)
+
+
+def test_the_dp_builds_every_row_without_the_oracle(monkeypatch):
+    # the DP stands on its own from n = 1: it neither calls the oracle nor enumerates a group
+    cases = [(group, n) for group in "ABD" for n in range(2 if group == "D" else 1, 8)]
+    oracle = {case: enumerated_row(*case) for case in cases}
+
+    def refused(*args):
+        raise AssertionError("the DP enumerated a group")
+
+    monkeypatch.setattr(eulerian, "enumerated_row", refused)
+    monkeypatch.setattr(eulerian, "_elements", refused)
+    for case in cases:
+        assert _insertion_row(*case) == oracle[case], case
 
 
 @pytest.mark.parametrize("n", range(8, 13))

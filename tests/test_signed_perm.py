@@ -4,7 +4,7 @@ import copy
 import itertools
 import math
 import pickle
-from operator import gt
+from operator import gt, mul
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,7 @@ from worpitzky.signed_perm import (
     _descent_table,
     _elements,
     _masks,
-    _signed_windows,
+    _signs,
     enumerate_bn,
     enumerate_dn,
 )
@@ -89,6 +89,18 @@ def test_des_counts_the_increasing_descent_tuple(group):
         assert all(i < j for i, j in zip(descents, descents[1:]))
 
 
+@pytest.mark.parametrize("group,n", [(g, n) for g in "ABD" for n in range(2 if g == "D" else 1, 7)])
+def test_descents_follow_the_per_type_rules_on_every_element(group, n):
+    # the type-A descents, plus position 0 when sigma_1 < 0 (B) or sigma_1 + sigma_2 < 0 (D),
+    # on every element of B_n, which holds A_n and D_n
+    zero = {"A": lambda w: False, "B": lambda w: w[0] < 0, "D": lambda w: w[0] + w[1] < 0}[group]
+    for sigma in enumerate_bn(n):
+        w = sigma.window
+        want = (0,) * zero(w) + tuple(i for i in range(1, n) if w[i - 1] > w[i])
+        assert sigma.descents(group) == want, sigma
+        assert sigma.des(group) == len(want), sigma
+
+
 @pytest.mark.parametrize("method", ["descents", "des"])
 def test_descent_rule_rejects_an_unknown_type_and_a_short_d_window(method):
     with pytest.raises(ValueError, match="unknown type 'C'"):
@@ -144,7 +156,7 @@ def test_signed_windows_keep_the_permutation_then_sign_mask_order(n):
         even = [w for w in signed if sum(x < 0 for x in w) % 2 == 0]
         assert [sigma.window for sigma in enumerate_dn(n)] == even
     assert [sigma.window for sigma in _elements(n, "A")] == perms
-    assert [pattern for pattern, _ in _signed_windows(n, "B")] == [tuple(map(gt, p, p[1:])) for p in perms]
+    assert [sigma.window for sigma in _elements(n, "B")] == [tuple(map(mul, sign, p)) for p in perms for sign in _signs(n, "B")]
 
 
 @pytest.mark.parametrize("group,n", [("B", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)])
@@ -154,8 +166,9 @@ def test_descent_table_equals_des_on_every_element(group, n):
     table = _descent_table(group, n)
     assert len(table) == 2 ** (n - 1)
     perms = {}
-    for pattern, windows in _signed_windows(n, group):
-        windows = [SignedPermutation(w) for w in windows]
+    for p in itertools.permutations(range(1, n + 1)):
+        pattern = tuple(map(gt, p, p[1:]))
+        windows = [SignedPermutation(tuple(map(mul, sign, p))) for sign in _signs(n, group)]
         assert len(table[pattern][0]) == len(windows) == len(_masks(n, group))
         for sigma, bits in zip(windows, table[pattern][0]):
             assert tuple(i for i in range(n) if bits >> i & 1) == sigma.descents(group), sigma
