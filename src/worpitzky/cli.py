@@ -76,7 +76,8 @@ IDENTITIES = {
 # and 3, 1.4-2.1 us and under 70 B a vector in B, 0.9-1.0 us and 40 B in D), plus
 # 2 per group element, |B_n| = 2^n n! and |D_n| = 2^(n-1) n! (0.1-0.2 us each at
 # n = 7, m = 0, where a block is its template).  The largest admitted commands
-# take up to 3.5 s and peak under 60 MB RSS.
+# take up to 3.5 s and peak under 60 MB RSS (59.1 at most: B, n = 2, m = 263, in
+# JSON with --vectors, stdout to /dev/null).
 def _fiber_steps(group: str, sigma: bool):
     if sigma:
         return lambda n, m: 4 * (2 * m + 1) ** n + 36 * comb(n + m, n)

@@ -22,7 +22,7 @@ from math import factorial
 from operator import methodcaller
 from typing import NamedTuple
 
-from .exactnum import QPolynomial
+from .exactnum import QPolynomial, _unpack
 # enumerate_bn/enumerate_dn stay importable from here: bench/test_bench.py reads eulerian.enumerate_dn
 from .signed_perm import SignedPermutation, _elements, enumerate_bn, enumerate_dn  # noqa: F401
 
@@ -132,7 +132,7 @@ def _insertion_row(group: str, n: int) -> EulerianRow:
             totals[d + first_neg] += v << bits * first_neg
         else:  # a descent at 0 when sigma_1 + sigma_2 < 0, on an even count of negatives
             totals[d + pair_neg] += v & (even << bits * first_neg)
-    entries = (QPolynomial([t >> j * bits & mask for j in range(n + 1)]) for t in totals)
+    entries = (QPolynomial(_unpack(t, bits, n + 1)) for t in totals)
     return EulerianRow(group, n, tuple(entries))
 
 

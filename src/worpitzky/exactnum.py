@@ -4,7 +4,9 @@ Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  The only
 hand-rolled structure is :class:`QPolynomial`, a dense polynomial in the
 formal variable q with integer coefficients, kept in canonical form
-(trailing zero coefficients trimmed).
+(trailing zero coefficients trimmed).  The row DP and the sweep folds carry a
+q-polynomial Kronecker-packed in one int, K bits a coefficient, so that q is a
+shift by K; ``_unpack`` is the one place that reads the coefficients back.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ def binom(a: int, b: int) -> int:
     if a < 0 or b < 0:
         raise ValueError(f"binom requires nonnegative arguments, got ({a}, {b})")
     return math.comb(a, b)
+
+
+def _unpack(packed: int, K: int, w: int) -> list[int]:
+    """The w cells of K bits of ``packed``, lowest first: the coefficients of
+    q^0..q^(w-1) of a polynomial packed with each coefficient below 2^K."""
+    return [packed >> K * k & (1 << K) - 1 for k in range(w)]
 
 
 class QPolynomial:

@@ -34,7 +34,6 @@ deviating closed form of the full q-identity is kept as an erratum probe.
 
 from __future__ import annotations
 
-import gc
 import sys
 from array import array
 from bisect import bisect_left
@@ -45,7 +44,7 @@ from operator import add, countOf, gt, itemgetter, mul, ne
 from typing import Iterator, NamedTuple
 
 from .bernoulli import power_sum, worpitzky_d_lhs
-from .exactnum import ONE_PLUS_Q, QPolynomial, binom
+from .exactnum import ONE_PLUS_Q, QPolynomial, _unpack, binom
 from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
 from .signed_perm import SignedPermutation, _descent_table, _sigma0, _signs
@@ -54,7 +53,6 @@ from .sigma_vectors import (
     _columns,
     _prefix_keys,
     _tails,
-    _unpack,
     check_bound,
     code_entry,
     enumerate_vectors,
@@ -326,7 +324,7 @@ def _failing(perms: list, sign: list, laws: list, plans: list, counts: dict, tab
     if not all(len(plan) == len(set(plan)) == e for plan, e in zip(plans, laws)):
         return set(perms)
     failing = marked.intersection(perms)
-    if laws:  # no list of nothing: it mallocs 1 byte outside pymalloc (see fiber_blocks)
+    if laws:
         k, width, rows = len(perms), len(sign), sum(map(len, plans))
         windows = list(map(tuple, map(map, repeat(mul), sign * k, chain.from_iterable(map(repeat, perms, repeat(width))))))
         repeated = chain.from_iterable(map(repeat, windows, chain.from_iterable(repeat(list(map(len, plans)), k))))
@@ -347,9 +345,7 @@ def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dic
     reports all its windows, each vector re-checked by ``_decode``, which names the
     first that does not map back; else a block reports its windows of nonzero law with
     ``reports`` (the others pass with law and count 0), or none.  A pattern's plans live
-    from its first block to its last.  The pass ends in a collection with the older
-    objects frozen (microseconds, not 2-5 ms), clearing the tuple free list (3 MB after
-    D_6 at m=2)."""
+    from its first block to its last, so one pattern's plans are held at a time."""
     table: list = []
     counts = fiber_counts(group, n, m, table)
     weights = [(2 * m + 1) ** k for k in reversed(range(n))]
@@ -361,19 +357,17 @@ def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dic
     signs = _signs(n, group)
     patterns = _descent_table(group, n)  # per pattern its descent sets and its permutations
     rows = {pattern: (signs, [law[d.bit_count()] for d in sets]) for pattern, (sets, _) in patterns.items()}
-    # the signs, laws and descent sets of each pattern's windows of nonzero law, made before the
-    # blocks: list() of an empty iterator mallocs 1 byte outside pymalloc, and such a chunk freed
-    # among the blocks' texts keeps their heap pages (+2 MB of captured `fibers` output)
+    # the signs, laws and descent sets of each pattern's windows of nonzero law
     nonzero = {pattern: [[x for x, e in zip(xs, laws) if e] for xs in (signs, laws, patterns[pattern][0])] for pattern, (_, laws) in rows.items()}
     marked = {tuple(map(abs, w)) for w in counts if sum(map(gt, (_sigma0(group, w),) + w, w)) > m}
 
     def blocks():
-        kept = dict.fromkeys(rows)  # sized first: a table made among the blocks' texts can pin their pages
+        kept = dict.fromkeys(rows)
         for p in permutations(range(1, n + 1)):
             pattern = tuple(map(gt, p, p[1:]))
             perms = patterns[pattern][1]
             if kept[pattern] is None:  # its first block: the plans of its windows of nonzero law, checked
-                plans = ()  # a finished pattern's go before these are made
+                plans = ()  # frees the last pattern's plans, so two patterns' plans are never held at once
                 sign, laws, des = nonzero[pattern]
                 plans = [_plan(tuple(map(mul, s, p)), m, tuple(i for i in range(n) if d >> i & 1)) for s, d in zip(sign, des)]
                 kept[pattern] = _failing(perms, sign, laws, plans, counts, table, m, code, marked), plans
@@ -393,11 +387,6 @@ def fiber_blocks(group: str, n: int, m: int, reports: bool = False) -> tuple[dic
                 decoded = map(list, map(map, repeat(pick), plans))
             actual = map(counts.get, windows, repeat(0))
             yield pattern, p, list(map(_report, repeat(group), map(of, windows), repeat(m), laws, actual, decoded))
-        for held in (table, counts, marked):
-            held.clear()
-        gc.freeze()  # the collection walks none of the objects made before it
-        gc.collect()
-        gc.unfreeze()
 
     return rows, blocks()
 

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from multiprocessing import Pool  # noqa: F401
 from typing import Iterator, Sequence
 
-from .exactnum import QPolynomial
+from .exactnum import QPolynomial, _unpack
 
 Vector = tuple[int, ...]
 
@@ -148,10 +148,6 @@ def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, .
             if tail[j]:
                 keys[small] = keys.get(small, 0) + packed * tail[j]
     return last, K, keys
-
-
-def _unpack(packed: int, K: int, w: int) -> list[int]:
-    return [packed >> K * k & (1 << K) - 1 for k in range(w)]
 
 
 def fold_steps(n: int, m: int, low: int) -> int:

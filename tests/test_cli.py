@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import gc
 import hashlib
 import io
 import itertools
@@ -434,24 +433,6 @@ def test_fibers_exit_code_counts_a_failed_empty_law(capsys, monkeypatch, group):
     assert code == 1
     failed = [d for d in json.loads(out) if not d["pass"]]
     assert failed == [{"type": group, "sigma": "-1,-2", "m": 1, "expected": 0, "actual": 1, "pass": False}]
-
-
-@pytest.mark.parametrize("failing", [False, True], ids=["pass", "one-fails"])
-def test_fibers_leave_no_object_frozen(capsys, monkeypatch, failing):
-    # the all-sigma pass collects with the objects made before it frozen, and
-    # must thaw them whether its reports pass or not
-    real = map_d.fiber_counts
-
-    def one_more(*args):
-        counts = real(*args)
-        counts[next(iter(counts))] += 1
-        return counts
-
-    if failing:
-        monkeypatch.setattr(map_d, "fiber_counts", one_more)
-    code, _, _ = run(capsys, "fibers", "--type", "D", "--n", "4", "--m", "2", "--format", "json", "--vectors")
-    assert code == (1 if failing else 0)
-    assert gc.get_freeze_count() == 0
 
 
 def fiber_show(fmt, group, m, vectors):

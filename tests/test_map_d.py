@@ -1,16 +1,14 @@
 """The partial type-D map, missing-vector census, and type-D identities."""
 
 import ast
-import gc
 import json
 import tracemalloc
 import weakref
 from array import array
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
 from operator import gt
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -243,34 +241,6 @@ def test_fiber_reports_equal_the_streamed_reports(group):
             assert list(fiber_reports(group, n, m)) == streamed
 
 
-def test_fiber_reports_run_one_full_collection_after_the_last_report(monkeypatch):
-    # the collection that clears the free lists of the dropped count oracle
-    # runs once per group pass, after its last report, never per sigma, with
-    # the objects made before it frozen so that it does not walk them
-    reports, calls = [], []
-
-    def recorder(name):
-        return lambda: calls.append((name, len(reports)))
-
-    monkeypatch.setattr(map_d, "gc", SimpleNamespace(**{name: recorder(name) for name in ("freeze", "collect", "unfreeze")}))
-    for report in fiber_reports("D", 3, 1):
-        reports.append(report)
-    assert len(reports) == 24
-    assert calls == [("freeze", 24), ("collect", 24), ("unfreeze", 24)]
-
-
-@pytest.mark.parametrize("taken", [0, 3, 6], ids=["never-iterated", "closed-mid-pass", "drained"])
-def test_fiber_blocks_leave_no_object_frozen(taken):
-    # D_3 has 6 blocks; a reader that stops early (a closed pipe) closes the
-    # generator before its collection, and a drained one has run it
-    _, blocks = map_d.fiber_blocks("D", 3, 1)
-    assert len(list(islice(blocks, taken))) == taken
-    if taken == 6:
-        assert next(blocks, None) is None
-    blocks.close()
-    assert gc.get_freeze_count() == 0
-
-
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -500,10 +470,12 @@ def test_all_sigma_blocks_of_the_largest_n2_corner_stay_under_20_mib():
     try:
         _, blocks = map_d.fiber_blocks("B", 2, 263)
         assert [p for _, p, _ in blocks] == [(1, 2), (2, 1)]
-        peak = tracemalloc.get_traced_memory()[1]
+        # a drained pass holds nothing: its image table alone is over 2 MiB
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+    assert left < 2**20
 
 
 @pytest.mark.parametrize("group", ["B", "D"])

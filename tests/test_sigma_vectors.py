@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from worpitzky import map_d
-from worpitzky.exactnum import QPolynomial
+from worpitzky.exactnum import QPolynomial, _unpack
 from worpitzky.map_d import MISSING_CASES, missing_census, psi, verify_balance_d_q
 from worpitzky.sigma_vectors import (
     NO_CODE,
@@ -17,7 +17,6 @@ from worpitzky.sigma_vectors import (
     _neg2_fold,
     _neg_fold,
     _prefix_keys,
-    _unpack,
     enumerate_vectors,
     fold_steps,
     format_vector,
