@@ -5,29 +5,29 @@ an (n, m) grid), ``map`` (vector to permutation), ``fibers`` (fiber
 reports), ``missing`` (missing-vector census), ``oeis-check`` (b-file
 cross-check).  Exit codes: 0 pass, 1 verification failure, 2 usage error.
 
-Output formats: plain text (default) and JSON; ``eulerian`` and ``verify``
-also write CSV.  ``fibers`` writes through ``map_b.fiber_writer``: all-sigma,
-``map_d.fiber_blocks`` checks the permutations of each descent pattern at once,
-at the pattern's first block, and each block is its pattern's template text (the
-writer's text after a window made once per distinct law) under one
-``str.translate`` of placeholders to the permutation's letters.  With --vectors
-the reports of the windows of nonzero law go into the template; a failing
-permutation's block reports every window, and is their text alone.
-The vector sweeps run in one pass in this process (--jobs has no effect).
-Oversize work exits 2 before it starts: n past MAX_ROW_N, or a ``verify`` or
-``missing`` grid or a ``fibers`` command past MAX_STEPS.
+One table, COMMANDS, gives each command's handler, help and flags: ``parse_args``
+reads argv against it, and -h or --help prints the synopsis made from it.  A
+flag is named exactly or by a unique prefix, and takes ``=value`` or the token
+after it, whatever its first character; a repeated flag's last value wins.
+Every usage error is one ``error:`` line on stderr with exit 2, oversize work
+among them, before it starts: n past MAX_ROW_N, or a ``verify`` or ``missing``
+grid or a ``fibers`` command past MAX_STEPS.
+
+Output formats: plain text (default) and JSON; ``eulerian`` and ``verify`` also
+write CSV.  ``fibers`` writes through ``map_b.fiber_writer``, all-sigma as one
+template per descent pattern (see ``cmd_fibers``).  The vector sweeps run in one
+pass in this process (--jobs has no effect).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import namedtuple
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 from operator import attrgetter
+from types import SimpleNamespace
 
 from . import map_b, map_d, oeis
 from .eulerian import MAX_ROW_N, eulerian_row
@@ -86,8 +86,8 @@ def _fiber_steps(group: str, sigma: bool):
 
 
 def _check_args(args) -> None:
-    """Post-validation argparse cannot express, one branch per command, before
-    any work: the job count, n and m floors, and the rows and steps bounds."""
+    """The checks past a flag's converter or choices, one branch per command,
+    before any work: the job count, n and m floors, and the rows and steps bounds."""
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise UsageError(f"need a job count >= 1, got {args.jobs}")
     if args.command == "verify":
@@ -129,9 +129,9 @@ def parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = map(int, text.split(".."))
     except ValueError:  # not two parts, or a part that is no int
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+        raise ValueError(f"expected A..B, got {text!r}") from None
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -276,88 +276,112 @@ def cmd_oeis_check(args) -> int:
     return 0 if report.passed else 1
 
 
-# -- argument parsing ---------------------------------------------------------
+# -- the command table ------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process for every ``main`` call."""
-    parser = argparse.ArgumentParser(
-        prog="worpitzky",
-        description="Exact Eulerian-number and Worpitzky-identity engine "
-        "for signed and even-signed permutations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = {"choices": ["text", "json", "csv"], "default": "text"}
-    text_json = {"choices": ["text", "json"], "default": "text"}
-    jobs = {"type": int, "help": "accepted (>= 1), without effect: every sweep runs in this process"}
-
-    p = sub.add_parser("eulerian", help="print one Eulerian triangle row")
-    p.add_argument("--type", required=True, choices=["A", "B", "D"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--q", action="store_true", help="print q-coefficient lists")
-    p.add_argument("--format", **fmt)
-    p.set_defaults(fn=cmd_eulerian)
-
-    p = sub.add_parser("verify", help="verify an identity over an (n, m) grid")
-    p.add_argument("--identity", required=True, choices=list(IDENTITIES))
-    p.add_argument("--n-range", required=True, type=parse_range, metavar="A..B")
-    p.add_argument("--m-range", required=True, type=parse_range, metavar="C..D", help="m grid (plays the role of k for worpitzky-a)")
-    p.add_argument("--jobs", **jobs)
-    p.add_argument("--format", **fmt)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("map", help="map a vector to a signed permutation")
-    p.add_argument("--type", required=True, choices=["B", "D"])
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(fn=cmd_map)
-
-    p = sub.add_parser("fibers", help="fiber sizes and members")
-    p.add_argument("--type", required=True, choices=["B", "D"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--sigma", help="single permutation (comma-separated window)")
-    p.add_argument("--vectors", action="store_true", help="include vectors in all-sigma reports")
-    p.add_argument("--format", **text_json)
-    p.set_defaults(fn=cmd_fibers)
-
-    p = sub.add_parser("missing", help="census of vectors without a type-D partner")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--jobs", **jobs)
-    p.add_argument("--format", **text_json)
-    p.set_defaults(fn=cmd_missing)
-
-    p = sub.add_parser("oeis-check", help="cross-check triangle rows against OEIS data")
-    p.add_argument("--seq", required=True, choices=sorted(oeis.SEQUENCES))
-    p.add_argument("--max-n", required=True, type=int)
-    p.add_argument("--bfile", help="local b-file path")
-    p.add_argument("--format", **text_json)
-    p.set_defaults(fn=cmd_oeis_check)
-
-    return parser
+# A flag: its converter (int, parse_range or str), its choices, or SWITCH; its
+# default, or REQUIRED; the name of its value in the synopsis; its help.
+REQUIRED, SWITCH = "required", "switch"
+Flag = namedtuple("Flag", "convert default metavar help", defaults=("", ""))
+Command = namedtuple("Command", "fn help flags")
+_N, _M, HELP = Flag(int, REQUIRED, "N"), Flag(int, REQUIRED, "M"), {"--help": Flag(SWITCH, False)}
+_JOBS = Flag(int, None, "J", "accepted (>= 1), without effect: every sweep runs in this process")
+_FORMAT, _TEXT_JSON = Flag(["text", "json", "csv"], "text"), Flag(["text", "json"], "text")
+COMMANDS = {
+    "eulerian": Command(cmd_eulerian, "print one Eulerian triangle row", {
+        "--type": Flag(["A", "B", "D"], REQUIRED), "--n": _N,
+        "--q": Flag(SWITCH, False, help="print q-coefficient lists"), "--format": _FORMAT}),
+    "verify": Command(cmd_verify, "verify an identity over an (n, m) grid", {
+        "--identity": Flag(list(IDENTITIES), REQUIRED), "--n-range": Flag(parse_range, REQUIRED, "A..B"),
+        "--m-range": Flag(parse_range, REQUIRED, "C..D", "m grid (plays the role of k for worpitzky-a)"),
+        "--jobs": _JOBS, "--format": _FORMAT}),
+    "map": Command(cmd_map, "map a vector to a signed permutation", {
+        "--type": Flag(["B", "D"], REQUIRED), "--m": _M, "--vector": Flag(str, REQUIRED, '"a1,a2,..."')}),
+    "fibers": Command(cmd_fibers, "fiber sizes and members", {
+        "--type": Flag(["B", "D"], REQUIRED), "--n": _N, "--m": _M,
+        "--sigma": Flag(str, None, '"s1,s2,..."', "single permutation (comma-separated window)"),
+        "--vectors": Flag(SWITCH, False, help="include vectors in all-sigma reports"), "--format": _TEXT_JSON}),
+    "missing": Command(cmd_missing, "census of vectors without a type-D partner", {
+        "--n": _N, "--m": _M, "--jobs": _JOBS, "--format": _TEXT_JSON}),
+    "oeis-check": Command(cmd_oeis_check, "cross-check triangle rows against OEIS data", {
+        "--seq": Flag(sorted(oeis.SEQUENCES), REQUIRED), "--max-n": Flag(int, REQUIRED, "K"),
+        "--bfile": Flag(str, None, "PATH", "local b-file path"), "--format": _TEXT_JSON}),
+}
 
 
-def _join_dash_values(argv: list[str]) -> list[str]:
-    """Turn ``--vector -2,0,0`` into ``--vector=-2,0,0`` so argparse does not
-    mistake a value with a leading minus for an option."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--vector", "--sigma", "--n-range", "--m-range") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def cmd_help(args) -> int:
+    """Write each command's synopsis, as the README's Usage lines give it, its
+    help and its flags' help."""
+    print("Exact Eulerian-number and Worpitzky-identity engine for signed and even-signed permutations.\n")
+    for name, command in COMMANDS.items():
+        words, helps = ["worpitzky", name], [command.help]
+        for flag, (convert, default, metavar, text) in command.flags.items():
+            if isinstance(convert, list):
+                metavar = "{%s}" % "|".join(convert) if default == REQUIRED else "|".join(convert)
+            word = flag if convert == SWITCH else f"{flag} {metavar}"
+            words.append(word if default == REQUIRED else f"[{word}]")
+            helps += [f"{flag}: {text}"] if text else []
+        print(" ".join(words), *helps, sep="\n    ")
+    print("\nExit codes: 0 pass, 1 verification failure, 2 usage error.")
+    return 0
+
+
+def _convert(flag: str, convert, text: str):
+    if isinstance(convert, list):
+        if text not in convert:
+            raise UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, convert))})")
+        return text
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise UsageError(f"argument {flag}: " + (f"invalid int value: {text!r}" if convert is int else str(exc))) from None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` against COMMANDS, in argparse's wording: each flag's value or
+    default under its name (``--n-range`` as ``n_range``), with ``command`` and
+    ``fn``; or the help command, where -h or --help comes before any error.  The
+    command is the first token that is no flag.  A bad argv raises UsageError."""
+    name, flags, values, extras, tokens = None, HELP, {}, [], iter(argv)
+    for token in tokens:
+        if name is None and not token.startswith("-"):
+            if token not in COMMANDS:
+                raise UsageError(f"argument command: invalid choice: {token!r} (choose from {', '.join(map(repr, COMMANDS))})")
+            name, flags = token, {**COMMANDS[token].flags, **HELP}
+            continue
+        flag, eq, value = token.partition("=")
+        if token == "-h":
+            flag = "--help"
+        elif flag not in flags:
+            found = [f for f in flags if f.startswith(flag)] if flag.startswith("--") and token != "--" else []
+            if len(found) > 1:
+                raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+            if not found:
+                extras.append(token)
+                continue
+            flag = found[0]
+        convert = flags[flag].convert
+        if convert == SWITCH and eq:
+            raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+        if flag == "--help":
+            return SimpleNamespace(command="help", fn=cmd_help)
+        if convert != SWITCH and not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"argument {flag}: expected one argument")
+        values[flag] = True if convert == SWITCH else _convert(flag, convert, value)
+    if name is None:
+        raise UsageError("the following arguments are required: command")
+    command = COMMANDS[name]
+    required = [flag for flag, spec in command.flags.items() if spec.default == REQUIRED and flag not in values]
+    if required:
+        raise UsageError(f"the following arguments are required: {', '.join(required)}")
+    if extras:  # a token with a line break is quoted, to keep the message one line
+        raise UsageError(f"unrecognized arguments: {' '.join(t if t.isprintable() else repr(t) for t in extras)}")
+    fields = {flag[2:].replace("-", "_"): values.get(flag, spec.default) for flag, spec in command.flags.items()}
+    return SimpleNamespace(command=name, fn=command.fn, **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         _check_args(args)
         return args.fn(args)
     except (UsageError, ValueError) as exc:

@@ -241,6 +241,7 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
     klass = {c: c if c < ww else c % ww + ww for column in (*head, last) for c in column}.__getitem__
     case = lru_cache(maxsize=None)(partial(_code_case, n))
     lasts = list(zip(last, ends, map(klass, last), [c % w for c in last]))  # a last code's entry, class and sign bit
+    cases = len(MISSING_CASES)  # the case index of a vector that is not missing
     for prefix in product(*head):
         low = sorted(prefix)
         pe = tuple(map(entry, low))
@@ -258,7 +259,7 @@ def _images(group: str, n: int, m: int) -> Iterator[tuple[int, ...] | None]:
                 missing = past[odd]
             else:
                 missing = case(k, ka, odd) if i == 0 else case(ka, k, odd)
-            if missing < len(MISSING_CASES):
+            if missing < cases:
                 yield None
             elif odd and (k if i == 0 else ka) < ww:  # a zero (a code below w^2) and odd negatives: psi flips sigma_1
                 yield (-e[0],) + pe if i == 0 else flipped[:i] + e + pe[i:]

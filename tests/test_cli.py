@@ -137,10 +137,9 @@ def test_verify_json(capsys):
 
 
 def test_verify_bad_range_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--identity", "worpitzky-b", "--n-range", "5..2",
-              "--m-range", "0..0"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "verify", "--identity", "worpitzky-b", "--n-range", "5..2", "--m-range", "0..0")
+    assert code == 2 and out == ""
+    assert err == "error: argument --n-range: empty range '5..2'\n"
 
 
 @pytest.mark.parametrize("n_range,m_range", [("-1..2", "0..1"), ("1..2", "-1..1")])
@@ -188,7 +187,7 @@ def test_verify_refuses_a_grid_of_rows_past_the_bound_before_any_report(
 ):
     # every grid of rows up to MAX_ROW_N is admitted, and one more row is refused
     argv = ["verify", "--identity", identity, "--n-range", n_range, "--m-range", "0..0"]
-    cli._check_args(cli.build_parser().parse_args(argv))
+    cli._check_args(cli.parse_args(argv))
 
     def no_row(n):
         raise AssertionError("a refused grid built a row")
@@ -206,10 +205,10 @@ def test_verify_admits_every_single_row_grid(identity):
     # m = 0 keeps the worpitzky-b and balance-d sweeps at one vector
     for n in range(2, cli.MAX_ROW_N + 1):
         argv = ["verify", "--identity", identity, "--n-range", f"{n}..{n}", "--m-range", "0..0"]
-        cli._check_args(cli.build_parser().parse_args(argv))
+        cli._check_args(cli.parse_args(argv))
     # and so is the whole grid: no bound counts the rows past MAX_ROW_N
     argv[argv.index("--n-range") + 1] = f"{cli.IDENTITIES[identity].least_n}..{cli.MAX_ROW_N}"
-    cli._check_args(cli.build_parser().parse_args(argv))
+    cli._check_args(cli.parse_args(argv))
 
 
 # the library report of each identity, by the module and name the CLI calls
@@ -655,7 +654,7 @@ def test_fibers_all_sigma_stops_below_the_placeholder_range(capsys, monkeypatch,
     assert err.startswith("error: ") and err.count("\n") == 1
     if n > 9:
         with pytest.raises(cli.UsageError, match="n <= 9"):
-            cli.cmd_fibers(cli.build_parser().parse_args(argv))
+            cli.cmd_fibers(cli.parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -783,7 +782,7 @@ def test_sweeps_past_the_bound_are_refused_before_any_work(capsys, monkeypatch, 
 )
 def test_grids_the_folds_make_cheap_are_admitted(argv):
     # (2m+1)^n is 2.3e13 vectors at (14, 4), but the folds take far fewer steps
-    cli._check_args(cli.build_parser().parse_args(argv.split()))
+    cli._check_args(cli.parse_args(argv.split()))
 
 
 @pytest.mark.parametrize(
@@ -840,15 +839,24 @@ _vectors = st.one_of(
 @st.composite
 def _argvs(draw):
     """An argv of one subcommand: its choices valid, its numbers, ranges and
-    vectors drawn valid or not."""
+    vectors drawn valid or not; a flag spelled out or by a unique prefix, its
+    value the next token or joined by "="."""
+    def spell(name):
+        others = [other for other in [*cli.COMMANDS[command].flags, "--help"] if other != name]
+        least = next(k for k in range(3, len(name) + 1) if not any(other.startswith(name[:k]) for other in others))
+        return name[:draw(st.integers(least, len(name)))] if draw(st.booleans()) else name
+
     def flag(name, values, optional=False):
-        return [] if optional and draw(st.booleans()) else [name, draw(values)]
+        if optional and draw(st.booleans()):
+            return []
+        name, value = spell(name), draw(values)
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
 
     def switch(name):
-        return [name] if draw(st.booleans()) else []
+        return [spell(name)] if draw(st.booleans()) else []
 
     signed, text_json = st.sampled_from("BD"), st.sampled_from(["text", "json"])
-    command = draw(st.sampled_from(["eulerian", "verify", "map", "fibers", "missing", "oeis-check"]))
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
     if command == "eulerian":
         rest = flag("--type", st.sampled_from("ABD")) + flag("--n", _int_texts) + switch("--q")
         rest += flag("--format", st.sampled_from(["text", "json", "csv"]), True)
@@ -887,15 +895,12 @@ def test_any_argv_exits_0_1_or_2_with_one_error_line_and_starts_no_process(argv)
             mp.setattr(module, name, no_process)
         mp.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         start = time.perf_counter()
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        code = main(argv)
         elapsed = time.perf_counter() - start
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2) and started == []
     if code == 2:
-        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert elapsed < (0.5 if code == 2 else 5)
 
 
@@ -929,6 +934,87 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_csv_or_json():
     added = modules_after("from worpitzky import cli") - modules_after("pass")
     assert "worpitzky.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "csv", "json"}), sorted(added)
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_gettext():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    statement = "import sys, worpitzky.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", statement], env=env, capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(proc.stdout.split())
+    assert "worpitzky.cli" in loaded and loaded.isdisjoint({"argparse", "gettext"})
+
+
+_EULERIAN = ["eulerian", "--type", "B", "--n", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        ([], "the following arguments are required: command"),
+        (["euler"], "argument command: invalid choice: 'euler' (choose from 'eulerian', 'verify', "),
+        ([*_EULERIAN, "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([*_EULERIAN, "a\nb"], "unrecognized arguments: 'a\\nb'"),
+        # the empty prefix is the one the table leaves ambiguous
+        ([*_EULERIAN, "--=1"], "ambiguous option: --=1 could match --type, --n, --q, --format, --help"),
+        (_EULERIAN[:-1], "argument --n: expected one argument"),
+        ([*_EULERIAN, "--q=1"], "argument --q: ignored explicit argument '1'"),
+        (["eulerian", "--type", "B", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["eulerian", "--type", "B", "--n", "9" * 5000], "argument --n: invalid int value: '99999"),
+        (["eulerian", "--type", "C", "--n", "2"], "argument --type: invalid choice: 'C' (choose from 'A', 'B', 'D')"),
+        (["missing", "--jobs", "1"], "the following arguments are required: --n, --m"),
+        (["verify", "--identity", "worpitzky-a", "--n-range", "1-2", "--m-range", "0..0"], "argument --n-range: expected A..B, got '1-2'"),
+        (["verify", "--identity", "worpitzky-a", "--n-range", "1..1", "--m-range", "2..1"], "argument --m-range: empty range '2..1'"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-flag", "token-with-line-break", "ambiguous-prefix",
+        "value-missing-at-end", "switch-given-value", "bad-int", "int-past-digit-limit", "bad-choice",
+        "required-flag-missing", "malformed-range", "empty-range",
+    ],
+)
+def test_each_kind_of_usage_error_is_one_error_line_and_exit_2(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,spelled_out",
+    [
+        ("verify --iden worpitzky-b --n 2..3 --m 0..1", "verify --identity worpitzky-b --n-range 2..3 --m-range 0..1"),
+        ("oeis-check --s A262226 --max 4 --f json", "oeis-check --seq A262226 --max-n 4 --format json"),
+        ("eulerian --type=D --n=4 --q --format=json", "eulerian --type D --n 4 --q --format json"),
+        ("eulerian --type A --n 9 --type B --q --n 3 --q", "eulerian --type B --n 3 --q"),
+        ("map --type D --m 2 --vector -2,0,0", "map --type D --m 2 --vector=-2,0,0"),
+        ("fibers --type B --n 2 --m 1 --sigma -2,1", "fibers --type B --n 2 --m 1 --sigma=-2,1"),
+        ("verify --identity worpitzky-a --n-range -1..2 --m-range 0..1", "verify --identity worpitzky-a --n-range=-1..2 --m-range=0..1"),
+    ],
+)
+def test_accepted_forms_equal_their_spelled_out_form(capsys, argv, spelled_out):
+    got = run(capsys, *argv.split())
+    assert got == run(capsys, *spelled_out.split())
+    if "-1..2" in argv:  # the range parses, and the n floor refuses it
+        assert got == (2, "", "error: need n >= 1 and m >= 0\n")
+    else:
+        assert got[0] == 0 and got[1] and got[2] == ""
+
+
+def test_help_names_every_command_flag_and_choice(capsys):
+    # the README's Usage lines are the synopses the table generates
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    usage = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0].replace("\\\n", "")
+    synopses = [" ".join(line.split()) for line in usage.splitlines()]
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert len(synopses) == len(cli.COMMANDS) and all(synopsis in out.splitlines() for synopsis in synopses)
+    for name, command in cli.COMMANDS.items():
+        code, text, err = run(capsys, name, "-h")
+        assert code == 0 and err == "" and command.help in out and command.help in text
+        for flag, spec in command.flags.items():
+            choices = spec.convert if isinstance(spec.convert, list) else []
+            assert all(word in text for word in [flag, spec.help, *choices])
+    # -h and any prefix of --help, before the error a later token would raise
+    assert run(capsys, "-h") == run(capsys, "--he") == (0, out, "")
+    assert run(capsys, "eulerian", "--n", "2", "--he", "--n", "x") == run(capsys, "eulerian", "-h")
 
 
 def test_oeis_check_passes(capsys):
@@ -982,7 +1068,7 @@ def test_oeis_check_refuses_rows_past_the_bound_before_any_row(capsys, monkeypat
 def test_oeis_check_admits_rows_up_to_the_bound(seq):
     # every row up to MAX_ROW_N is admitted, 35 and past included
     for max_n in ("35", str(cli.MAX_ROW_N)):
-        cli._check_args(cli.build_parser().parse_args(["oeis-check", "--seq", seq, "--max-n", max_n]))
+        cli._check_args(cli.parse_args(["oeis-check", "--seq", seq, "--max-n", max_n]))
 
 
 @pytest.mark.parametrize(
@@ -1021,10 +1107,10 @@ def test_oeis_check_missing_bfile_is_usage_error(capsys, tmp_path):
     ids=["fibers", "missing", "oeis-check"],
 )
 def test_csv_is_offered_only_where_it_is_written(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--format", "csv"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "invalid choice: 'csv'" in err
 
 
 def test_output_deterministic_across_jobs(capsys):
