@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exactnum import binom
 
@@ -65,19 +65,18 @@ def worpitzky_d_lhs(n: int, m: int) -> int:
     """Left side of the type-D identity at q=1, computed two ways.
 
     Route one uses Bernoulli values, route two plain power sums; they must
-    agree exactly and the result is an integer.
+    agree exactly, in integers: D B_n(m+1) = D B_n + D ``power_sum(n, m)``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    via_bernoulli = (1 + 2 * m) ** n - 2 ** (n - 1) * (
-        bernoulli_poly_eval(n, m + 1) - bernoulli_number(n)
-    )
-    via_power_sum = (1 + 2 * m) ** n - 2 ** (n - 1) * power_sum(n, m)
-    if via_bernoulli != via_power_sum:
+    d, coeffs = _scaled_poly_coeffs(n)
+    scaled = reduce(lambda acc, c: acc * (m + 1) + c, coeffs)  # D B_n(m+1), by Horner
+    b, sums = bernoulli_number(n), power_sum(n, m)
+    via_power_sum = (1 + 2 * m) ** n - 2 ** (n - 1) * sums
+    if scaled != d // b.denominator * b.numerator + d * sums:
+        via_bernoulli = (1 + 2 * m) ** n - 2 ** (n - 1) * (Fraction(scaled, d) - b)
         raise ArithmeticError(
             f"Bernoulli and power-sum routes disagree at n={n}, m={m}: "
             f"{via_bernoulli} vs {via_power_sum}"
         )
-    if via_bernoulli.denominator != 1:
-        raise ArithmeticError(f"non-integral value {via_bernoulli} at n={n}, m={m}")
-    return int(via_bernoulli)
+    return via_power_sum

@@ -43,7 +43,8 @@ class UsageError(Exception):
 # fold's steps (sigma_vectors.fold_steps) and n (50 + m/4) steps per report.
 # On a 2-CPU Xeon with Python 3.11.7 a fold step took 0.03-0.30 us in `missing`,
 # 0.06-0.25 us in worpitzky-b and 0.001-0.02 us in balance-d (n = 8 down to 2), and
-# a report past its fold 4-1,400 us from n = 2 to 50 plus up to 3.2 us per unit of m.
+# a report past its fold 2-14 us at n = 2 and 17-230 us at n = 50 (m = 0), plus per
+# unit of m up to 10 us while m <= n (erratum-d at n = 50) and 1.9 us past it.
 MAX_STEPS = 10**7
 
 
@@ -57,8 +58,8 @@ def _folded(low: int):
 
 # Per identity: its report call (n, m), made through the module attribute so
 # a patched or rebound library name is the one called; its least n; its
-# steps at (n, m).  Its rows need no bound of their own past MAX_ROW_N: the
-# insertion DP builds every D row 2..50 in about 0.7 s on the same host.
+# steps at (n, m).  Its rows need no bound of their own past MAX_ROW_N: one pass
+# of the insertion DP builds every B and D row 2..50 in about 0.06 s on the same host.
 Identity = namedtuple("Identity", "report least_n steps")
 IDENTITIES = {
     "worpitzky-a": Identity(lambda n, m: map_b.verify_worpitzky_a(n, m), 1, _report_steps),

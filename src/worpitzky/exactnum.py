@@ -4,14 +4,17 @@ Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  The only
 hand-rolled structure is :class:`QPolynomial`, a dense polynomial in the
 formal variable q with integer coefficients, kept in canonical form
-(trailing zero coefficients trimmed).  The row DP and the sweep folds carry a
-q-polynomial Kronecker-packed in one int, K bits a coefficient, so that q is a
-shift by K; ``_unpack`` is the one place that reads the coefficients back.
+(trailing zero coefficients trimmed).  Kronecker packing has its one home here:
+a q-polynomial held in one int, K bits (``_cell_bits``) a coefficient, so q is a
+shift by K and a product of polynomials is one of ints.  QPolynomial's products
+and powers, the row DP and the sweep folds all pack this way.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count, repeat
+from operator import lshift, neg, sub
 from typing import Iterable
 
 
@@ -26,10 +29,27 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _cell_bits(bound: int) -> int:
+    """K for coefficients in 0..bound; -bound..bound takes ``_cell_bits(2 * bound)``."""
+    return bound.bit_length()
+
+
+def _pack(coeffs: Iterable[int], K: int) -> int:
+    """The polynomial at q = 2^K: a negative coefficient borrows from the cell above."""
+    return sum(map(lshift, coeffs, count(0, K)))
+
+
 def _unpack(packed: int, K: int, w: int) -> list[int]:
     """The w cells of K bits of ``packed``, lowest first: the coefficients of
     q^0..q^(w-1) of a polynomial packed with each coefficient below 2^K."""
     return [packed >> K * k & (1 << K) - 1 for k in range(w)]
+
+
+def _unpack_signed(packed: int, K: int, w: int) -> list[int]:
+    """``_unpack`` for coefficients of magnitude below 2^(K-1): 2^(K-1) added to
+    every cell makes each nonnegative, so none borrows, and is taken off again."""
+    half = 1 << K - 1
+    return list(map(sub, _unpack(packed + half * ((1 << K * w) - 1) // ((1 << K) - 1), K, w), repeat(half, w)))
 
 
 class QPolynomial:
@@ -38,13 +58,19 @@ class QPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        for c in cs:
+        self._coeffs = QPolynomial._of(list(coeffs))._coeffs
+        for c in self._coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be ints, got {c!r}")
-        self._coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list[int]) -> "QPolynomial":
+        """The polynomial of the ints ``cs``, trimmed but not checked: ints this class computed."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = cls.__new__(cls)
+        p._coeffs = tuple(cs)
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -102,12 +128,12 @@ class QPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPolynomial(out)
+        return QPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPolynomial(tuple(-c for c in self._coeffs))
+        return QPolynomial._of(list(map(neg, self._coeffs)))
 
     def __sub__(self, other):
         p = self._coerce(other)
@@ -123,33 +149,27 @@ class QPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPolynomial(tuple(other * c for c in self._coeffs))
+            return QPolynomial._of([other * c for c in self._coeffs])
         if not isinstance(other, QPolynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return QPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPolynomial(out)
+        # a coefficient of the product sums at most min(len) products of one of each
+        K = _cell_bits(2 * min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+        return QPolynomial._of(_unpack_signed(_pack(a, K) * _pack(b, K), K, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = QPolynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        a = self._coeffs
+        if not a:
+            return QPolynomial() if exponent else QPolynomial.one()
+        # no coefficient of p^e exceeds (sum |p_k|)^e, its value at q = 1 with every sign +
+        K = _cell_bits(2 * sum(map(abs, a)) ** exponent)
+        return QPolynomial._of(_unpack_signed(_pack(a, K) ** exponent, K, (len(a) - 1) * exponent + 1))
 
     # -- evaluation ---------------------------------------------------
 

@@ -181,16 +181,21 @@ def fiber_writer(fmt: str, group: str, m: int, vectors: bool) -> tuple[str, Call
 
 # -- identity verification --------------------------------------------------
 
-def rhs_eulerian_sum(row_entries: Sequence, n: int, m: int):
-    """sum_k C(n+m-k, n) * entries[k], with the per-term breakdown."""
+def rhs_eulerian_sum(row_entries: Sequence, n: int, m: int, breakdown: bool = True):
+    """sum_k C(n+m-k, n) * entries[k], QPolynomials summed in C-level maps over their coefficients,
+    with the per-term breakdown (k, binomial factor, entry, contribution) if ``breakdown``."""
+    polys = isinstance(row_entries[0], QPolynomial)
+    rhs = [0] * max(len(entry.coeffs) for entry in row_entries) if polys else 0
     terms = []
-    rhs = None
     for k, entry in enumerate(row_entries):
         c = binom(n + m - k, n)
-        contribution = c * entry
-        terms.append((k, c, entry, contribution))
-        rhs = contribution if rhs is None else rhs + contribution
-    return rhs, tuple(terms)
+        if not polys:
+            rhs += c * entry
+        elif c:  # C(n+m-k, n) = 0 for k > m
+            rhs[: len(entry.coeffs)] = map(add, rhs, map(c.__mul__, entry.coeffs))
+        if breakdown:
+            terms.append((k, c, entry, c * entry))
+    return (QPolynomial(rhs) if polys else rhs), tuple(terms)
 
 
 def verify_worpitzky_a(n: int, k: int) -> IdentityReport:

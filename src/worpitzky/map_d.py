@@ -591,11 +591,6 @@ def printed_lhs_d_q(n: int, m: int) -> QPolynomial:
 
 # -- identity verification ----------------------------------------------------
 
-def associated_weight_sum(n: int, m: int):
-    """sum_k C(n+m-k, n) D_{n,k}(q) with the per-term breakdown."""
-    return rhs_eulerian_sum(eulerian_row_d_q(n).entries, n, m)
-
-
 def verify_worpitzky_d_q1(n: int, m: int) -> IdentityReport:
     """Type-D identity at q=1: both left-side routes against the Eulerian sum."""
     if n < 2 or m < 0:
@@ -615,7 +610,7 @@ def verify_balance_d_q(n: int, m: int) -> IdentityReport:
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
     lhs = total_weight_neg2(n, m)
-    associated, terms = associated_weight_sum(n, m)
+    associated, terms = rhs_eulerian_sum(eulerian_row_d_q(n).entries, n, m)
     missing = missing_weight_closed(n, m)
     rhs = associated + missing
     return IdentityReport(
@@ -639,7 +634,7 @@ def erratum_report_d(n: int, m: int) -> IdentityReport:
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
     printed = printed_lhs_d_q(n, m)
-    rhs, _ = associated_weight_sum(n, m)
+    rhs, _ = rhs_eulerian_sum(eulerian_row_d_q(n).entries, n, m, breakdown=False)
     correct_q1 = worpitzky_d_lhs(n, m)
     confirmed = printed != rhs and correct_q1 == rhs.at_q1()
     return IdentityReport(

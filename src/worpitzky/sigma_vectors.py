@@ -23,7 +23,7 @@ from bisect import bisect_left
 from multiprocessing import Pool  # noqa: F401
 from typing import Iterator, Sequence
 
-from .exactnum import QPolynomial, _unpack
+from .exactnum import QPolynomial, _cell_bits, _unpack
 
 Vector = tuple[int, ...]
 
@@ -135,7 +135,7 @@ def _prefix_keys(columns: list[tuple[int, ...]], low: int) -> tuple[tuple[int, .
     largest leave it as it is and fold in by one product with their tail weight."""
     *head, last = columns
     w = len(columns) + 1
-    K = sum(len(column).bit_length() for column in columns)
+    K = _cell_bits(math.prod(map(len, columns)))
     keys = {(NO_CODE,) * low: 1}
     for column in head:
         column, tail = _tails(column, w, K)
@@ -168,7 +168,7 @@ def _neg_fold(n: int, m: int) -> list[int]:
     """The product of the column weights, each code made as it is summed: none is kept."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    w, K = n + 1, n * (2 * m + 1).bit_length()
+    w, K = n + 1, _cell_bits((2 * m + 1) ** n)
     return _unpack(math.prod(sum(1 << K * (position_code(i, a, n) % w) for a in letters(m)) for i in range(1, n + 1)), K, w)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from worpitzky import bernoulli
 from worpitzky.bernoulli import (
     bernoulli_number,
     bernoulli_poly_eval,
@@ -77,3 +78,18 @@ def test_type_d_lhs_spot_values():
 def test_type_d_lhs_requires_n_at_least_two():
     with pytest.raises(ValueError):
         worpitzky_d_lhs(1, 3)
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_a_wrong_bernoulli_coefficient_fails_the_cross_check(monkeypatch, k):
+    # coefficient k of D B_6(x) off by one moves D B_6(m+1) by (m+1)^(6-k); k = 6 moves
+    # the constant term, which the check does not take from the same table
+    n, m = 6, 4
+    d, coeffs = bernoulli._scaled_poly_coeffs(n)
+    wrong = coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:]
+    monkeypatch.setattr(bernoulli, "_scaled_poly_coeffs", lambda n: (d, wrong))
+    right = (1 + 2 * m) ** n - 2 ** (n - 1) * power_sum(n, m)
+    off = right - 2 ** (n - 1) * Fraction((m + 1) ** (n - k), d)
+    with pytest.raises(ArithmeticError) as raised:
+        worpitzky_d_lhs(n, m)
+    assert str(raised.value) == f"Bernoulli and power-sum routes disagree at n={n}, m={m}: {off} vs {right}"

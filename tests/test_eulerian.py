@@ -197,12 +197,41 @@ ROW_DIGESTS = {
 
 @pytest.mark.parametrize("group,n", ROW_DIGESTS)
 def test_large_rows_equal_the_recorded_digests(group, n):
-    digest = hashlib.sha256(eulerian_row(group, n).to_json().encode()).hexdigest()
-    assert digest == ROW_DIGESTS[group, n]
+    assert _row_digest(eulerian_row(group, n)) == ROW_DIGESTS[group, n]
 
 
-def test_the_largest_d_row_builds_in_little_memory():
-    # the rank-state DP peaked at 60-79 MB here; the insertion DP at about 1 MB
+def _row_digest(row):
+    return hashlib.sha256(row.to_json().encode()).hexdigest()
+
+
+@pytest.fixture
+def cold_frontiers(monkeypatch):
+    """The insertion DP from nothing built, whatever earlier tests asked of it."""
+    monkeypatch.setattr(eulerian, "_frontiers", {})
+    monkeypatch.setattr(eulerian, "_totals", {})
+
+
+REQUEST_ORDERS = {
+    "descending": [("D", 12), ("B", 8), ("D", 6), ("B", 5), ("A", 7), ("A", 3), ("D", 2), ("B", 1), ("A", 1)],
+    "interleaved": [("A", 2), ("B", 3), ("D", 4), ("A", 6), ("B", 2), ("D", 8), ("A", 4), ("B", 12), ("D", 5), ("A", 50)],
+    # twice at the frontier's own n, and B and D at the n the other advanced the frontier to
+    "repeated": [("D", 5), ("D", 5), ("B", 5), ("B", 5), ("B", 8), ("B", 8), ("D", 8), ("A", 6), ("A", 6), ("D", 3), ("D", 3)],
+}
+
+
+@pytest.mark.parametrize("order", REQUEST_ORDERS)
+def test_the_row_frontier_serves_every_request_order(cold_frontiers, order):
+    for group, n in REQUEST_ORDERS[order]:
+        row = _insertion_row(group, n)
+        if n <= 7:
+            assert row == enumerated_row(group, n), (group, n)
+        else:
+            assert _row_digest(row) == ROW_DIGESTS[group, n], (group, n)
+
+
+def test_the_largest_d_row_builds_in_little_memory(cold_frontiers):
+    # the rank-state DP peaked at 60-79 MB here; the insertion DP, which keeps the
+    # packed totals of every B and D row it passes, at about 4 MB
     tracemalloc.start()
     try:
         row = _insertion_row("D", MAX_ROW_N)

@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from worpitzky.exactnum import ONE_PLUS_Q, Q, QPolynomial, binom
 
 small_polys = st.lists(st.integers(-8, 8), max_size=5).map(QPolynomial)
+# signed coefficients where a packed cell one bit too narrow, or a lost borrow,
+# corrupts a neighbour: zeros, +-1 and magnitudes up to 2^300
+coefficients = st.one_of(st.just(0), st.integers(-1, 1), st.integers(-(2**300), 2**300))
+coefficient_lists = st.lists(coefficients, max_size=7)  # trailing zeros and [] included
 
 
 def value_at(p, x):
@@ -83,7 +87,41 @@ def test_sum_builtin():
     assert sum([Q, Q, QPolynomial([1])], QPolynomial.zero()) == QPolynomial([1, 2])
 
 
-@given(small_polys, small_polys, small_polys)
+def schoolbook(a, b):
+    """The product of two coefficient lists term by term: the reference for the packed product."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return QPolynomial(out)
+
+
+@given(coefficient_lists, coefficient_lists)
+@example([-(2**150)], [2**150])  # -2^300: the bound itself, negative
+@example([2**150, 2**150], [2**150, -(2**150), 0])  # 2^301 and -2^300 beside 0
+@example([-1, 0, 0, 2**300], [-1, 1])
+def test_packed_product_equals_the_schoolbook_product(a, b):
+    assert QPolynomial(a) * QPolynomial(b) == schoolbook(a, b)
+
+
+@given(coefficient_lists, st.integers(0, 12))
+@example([], 0)
+@example([], 5)
+@example([0, 0], 3)
+@example([-(2**300), 2**300 - 1], 12)
+def test_packed_power_equals_repeated_schoolbook_products(a, e):
+    want = QPolynomial.one()
+    for _ in range(e):
+        want = schoolbook(want.coeffs, a)
+    assert QPolynomial(a) ** e == want
+
+
+@given(coefficients, coefficient_lists)
+def test_int_times_polynomial(c, a):
+    assert c * QPolynomial(a) == QPolynomial(a) * c == schoolbook([c], a)
+
+
+@given(*[coefficient_lists.map(QPolynomial)] * 3)
 def test_ring_axioms(p, r, s):
     assert p + r == r + p
     assert p * r == r * p
