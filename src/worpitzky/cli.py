@@ -254,8 +254,8 @@ def cmd_missing(args) -> int:
         import json
         print(json.dumps(census.to_json_dict()))
     else:
-        for case in map_d.MISSING_CASES:
-            print(f"{case}: count={census.counts[case]} weight={census.weights[case]}")
+        for case, count in census.counts.items():
+            print(f"{case}: count={count} weight={census.weights[case]}")
         print(f"total: count={census.total_count} weight={census.total_weight}")
         line = "closed forms: case1={case1} A={A} B={B} total={total} weight={total_weight}"
         print(line.format_map(census.closed_forms))

@@ -63,8 +63,8 @@ def _tally(elements, des_of, weight_of, n: int, k_max: int) -> tuple[QPolynomial
     return tuple(QPolynomial(c) for c in counts)
 
 
-# built cold, the D row at n = 50 takes about 0.06 s (2-CPU Xeon, Python 3.11.7) and
-# finishes every B and D row 2..50 on the way, whose packed totals then hold 3.7 MB
+# built cold, the D row at n = 50 takes about 0.1 s (2-CPU Xeon, Python 3.11.7) and
+# finishes every B and D row 2..50 on the way, whose packed totals then hold 3.1 MB
 MAX_ROW_N = 50
 
 

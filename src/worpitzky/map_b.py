@@ -88,7 +88,7 @@ def _json_value(x):
 
 
 class IdentityReport(NamedTuple):
-    """Both sides of one verified identity, with a per-term breakdown."""
+    """Both sides of one verified identity, with the row its right side sums."""
 
     identity: str
     n: int
@@ -97,7 +97,13 @@ class IdentityReport(NamedTuple):
     rhs: QPolynomial | int
     passed: bool
     extras: Mapping = MappingProxyType({})  # read-only, so no report shares a mutable default
-    terms: tuple = ()  # (k, binomial factor, row entry, contribution)
+    row: tuple = ()  # the Eulerian row that rhs_eulerian_sum summed, if the report lists its terms
+
+    @property
+    def terms(self) -> tuple:
+        """Each term of the sum over ``row``: (k, binomial factor, row entry, contribution)."""
+        n, m = self.n, self.m
+        return tuple((k, c, entry, c * entry) for k, entry in enumerate(self.row) for c in [binom(n + m - k, n)])
 
     def to_json_dict(self) -> dict:
         d = {
@@ -110,7 +116,7 @@ class IdentityReport(NamedTuple):
         }
         for key, value in self.extras.items():
             d[key] = _json_value(value)
-        if self.terms:
+        if self.row:
             d["terms"] = [
                 {
                     "k": k,
@@ -145,12 +151,6 @@ class FiberReport(NamedTuple):
             "vectors": [list(v) for v in self.vectors],
         }
 
-    def to_json(self, vectors: bool) -> str:
-        """``json.dumps(self.to_json_dict())``, less "vectors" unless
-        ``vectors``: the output of ``fiber_writer``."""
-        head, rest = fiber_writer("json", self.group, self.m, vectors)
-        return head + format_vector(self.sigma.window) + rest(self.expected_size, self.oracle_size, self.passed, self.vectors)
-
 
 def fiber_writer(fmt: str, group: str, m: int, vectors: bool) -> tuple[str, Callable[[int, int, bool, Sequence[Vector]], str]]:
     """The one writer of the fiber reports of one type and m in ``fmt``, as
@@ -181,30 +181,27 @@ def fiber_writer(fmt: str, group: str, m: int, vectors: bool) -> tuple[str, Call
 
 # -- identity verification --------------------------------------------------
 
-def rhs_eulerian_sum(row_entries: Sequence, n: int, m: int, breakdown: bool = True):
-    """sum_k C(n+m-k, n) * entries[k], QPolynomials summed in C-level maps over their coefficients,
-    with the per-term breakdown (k, binomial factor, entry, contribution) if ``breakdown``."""
+def rhs_eulerian_sum(row_entries: Sequence, n: int, m: int):
+    """sum_k C(n+m-k, n) * entries[k] over k <= m, as C(n+m-k, n) = 0 beyond; QPolynomials
+    summed in C-level maps over their coefficients."""
     polys = isinstance(row_entries[0], QPolynomial)
     rhs = [0] * max(len(entry.coeffs) for entry in row_entries) if polys else 0
-    terms = []
-    for k, entry in enumerate(row_entries):
+    for k, entry in enumerate(row_entries[: m + 1]):
         c = binom(n + m - k, n)
-        if not polys:
-            rhs += c * entry
-        elif c:  # C(n+m-k, n) = 0 for k > m
+        if polys:
             rhs[: len(entry.coeffs)] = map(add, rhs, map(c.__mul__, entry.coeffs))
-        if breakdown:
-            terms.append((k, c, entry, c * entry))
-    return (QPolynomial(rhs) if polys else rhs), tuple(terms)
+        else:
+            rhs += c * entry
+    return QPolynomial(rhs) if polys else rhs
 
 
 def verify_worpitzky_a(n: int, k: int) -> IdentityReport:
     """(k+1)^n against the type-A Eulerian expansion in the binomial basis."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    lhs = (k + 1) ** n
-    rhs, terms = rhs_eulerian_sum(eulerian_row_a(n).at_q1(), n, k)
-    return IdentityReport("worpitzky-a", n, k, lhs, rhs, lhs == rhs, terms=terms)
+    lhs, row = (k + 1) ** n, eulerian_row_a(n).at_q1()
+    rhs = rhs_eulerian_sum(row, n, k)
+    return IdentityReport("worpitzky-a", n, k, lhs, rhs, lhs == rhs, row=row)
 
 
 def verify_worpitzky_b(n: int, m: int) -> IdentityReport:
@@ -216,10 +213,10 @@ def verify_worpitzky_b(n: int, m: int) -> IdentityReport:
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    lhs = QPolynomial((1 + m, m)) ** n
-    rhs, terms = rhs_eulerian_sum(eulerian_row_b_q(n).entries, n, m)
+    lhs, row = QPolynomial((1 + m, m)) ** n, eulerian_row_b_q(n).entries
+    rhs = rhs_eulerian_sum(row, n, m)
     brute = total_weight_neg(n, m)
     passed = lhs == rhs == brute
     return IdentityReport(
-        "worpitzky-b", n, m, lhs, rhs, passed, extras={"brute": brute}, terms=terms
+        "worpitzky-b", n, m, lhs, rhs, passed, extras={"brute": brute}, row=row
     )

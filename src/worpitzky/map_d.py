@@ -431,7 +431,7 @@ def missing_cases2b3_closed(n: int, m: int) -> int:
 
 
 def missing_total_closed(n: int, m: int) -> int:
-    return 2 ** (n - 1) * sum((j + 1) ** (n - 1) for j in range(m)) * n
+    return 2 ** (n - 1) * power_sum(n, m)
 
 
 def missing_weight_closed(n: int, m: int) -> QPolynomial:
@@ -444,10 +444,14 @@ class MissingCensus(NamedTuple):
 
     n: int
     m: int
-    counts: dict[str, int]
     weights: dict[str, QPolynomial]
     associated_count: int
     closed_forms: dict
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Each case's count: its weight at q = 1."""
+        return {case: weight.at_q1() for case, weight in self.weights.items()}
 
     @property
     def total_count(self) -> int:
@@ -459,15 +463,15 @@ class MissingCensus(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        closed = self.closed_forms
+        closed, counts, total = self.closed_forms, self.counts, self.total_count
         return (
-            self.counts["case1"] == closed["case1"]
-            and self.counts["case2a"] == closed["A"]
-            and self.counts["case2b"] + self.counts["case3"] == closed["B"]
-            and self.total_count == closed["total"]
+            counts["case1"] == closed["case1"]
+            and counts["case2a"] == closed["A"]
+            and counts["case2b"] + counts["case3"] == closed["B"]
+            and total == closed["total"]
             and self.total_weight == closed["total_weight"]
             # every vector classified once: missing or associated
-            and self.total_count + self.associated_count == (2 * self.m + 1) ** self.n
+            and total + self.associated_count == (2 * self.m + 1) ** self.n
         )
 
     def to_json_dict(self) -> dict:
@@ -476,10 +480,10 @@ class MissingCensus(NamedTuple):
             "m": self.m,
             "cases": {
                 case: {
-                    "count": self.counts[case],
+                    "count": count,
                     "weight": self.weights[case].to_list(),
                 }
-                for case in MISSING_CASES
+                for case, count in self.counts.items()
             },
             "closed_forms": {key: _json_value(v) for key, v in self.closed_forms.items()},
             "pass": self.passed,
@@ -522,9 +526,7 @@ def missing_census(n: int, m: int) -> MissingCensus:
         raise ValueError("need n >= 2")
     cells = _census_fold(n, m)
     w = n + 1
-    blocks = {case: cells[c * w:(c + 1) * w] for c, case in enumerate(MISSING_CASES)}
-    counts = {case: sum(block) for case, block in blocks.items()}
-    weights = {case: QPolynomial(block) for case, block in blocks.items()}
+    weights = {case: QPolynomial(cells[c * w:(c + 1) * w]) for c, case in enumerate(MISSING_CASES)}
     closed_forms = {  # in JSON key order; B is case2b plus case3
         "A": missing_case2a_closed(n, m),
         "B": missing_cases2b3_closed(n, m),
@@ -532,7 +534,7 @@ def missing_census(n: int, m: int) -> MissingCensus:
         "total": missing_total_closed(n, m),
         "total_weight": missing_weight_closed(n, m),
     }
-    return MissingCensus(n, m, counts, weights, sum(cells[len(MISSING_CASES) * w:]), closed_forms)
+    return MissingCensus(n, m, weights, sum(cells[len(MISSING_CASES) * w:]), closed_forms)
 
 
 # -- printed per-case q-expressions -------------------------------------------
@@ -585,8 +587,7 @@ def printed_lhs_d_q(n: int, m: int) -> QPolynomial:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    head = (1 + 2 * m) * (ONE_PLUS_Q * m) ** (n - 1)
-    return head - ONE_PLUS_Q ** (n - 1) * power_sum(n, m)
+    return (1 + 2 * m) * (ONE_PLUS_Q * m) ** (n - 1) - missing_weight_closed(n, m)
 
 
 # -- identity verification ----------------------------------------------------
@@ -595,9 +596,9 @@ def verify_worpitzky_d_q1(n: int, m: int) -> IdentityReport:
     """Type-D identity at q=1: both left-side routes against the Eulerian sum."""
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    lhs = worpitzky_d_lhs(n, m)
-    rhs, terms = rhs_eulerian_sum(eulerian_row_d_q(n).at_q1(), n, m)
-    return IdentityReport("worpitzky-d", n, m, lhs, rhs, lhs == rhs, terms=terms)
+    lhs, row = worpitzky_d_lhs(n, m), eulerian_row_d_q(n).at_q1()
+    rhs = rhs_eulerian_sum(row, n, m)
+    return IdentityReport("worpitzky-d", n, m, lhs, rhs, lhs == rhs, row=row)
 
 
 def verify_balance_d_q(n: int, m: int) -> IdentityReport:
@@ -609,8 +610,8 @@ def verify_balance_d_q(n: int, m: int) -> IdentityReport:
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    lhs = total_weight_neg2(n, m)
-    associated, terms = rhs_eulerian_sum(eulerian_row_d_q(n).entries, n, m)
+    lhs, row = total_weight_neg2(n, m), eulerian_row_d_q(n).entries
+    associated = rhs_eulerian_sum(row, n, m)
     missing = missing_weight_closed(n, m)
     rhs = associated + missing
     return IdentityReport(
@@ -621,7 +622,7 @@ def verify_balance_d_q(n: int, m: int) -> IdentityReport:
         rhs,
         lhs == rhs,
         extras={"associated": associated, "missing": missing},
-        terms=terms,
+        row=row,
     )
 
 
@@ -634,9 +635,9 @@ def erratum_report_d(n: int, m: int) -> IdentityReport:
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
     printed = printed_lhs_d_q(n, m)
-    rhs, _ = rhs_eulerian_sum(eulerian_row_d_q(n).entries, n, m, breakdown=False)
-    correct_q1 = worpitzky_d_lhs(n, m)
-    confirmed = printed != rhs and correct_q1 == rhs.at_q1()
+    rhs = rhs_eulerian_sum(eulerian_row_d_q(n).entries, n, m)
+    correct_q1, rhs_q1 = worpitzky_d_lhs(n, m), rhs.at_q1()
+    confirmed = printed != rhs and correct_q1 == rhs_q1
     return IdentityReport(
         "erratum-d",
         n,
@@ -646,7 +647,7 @@ def erratum_report_d(n: int, m: int) -> IdentityReport:
         confirmed,
         extras={
             "printed_at_q1": printed.at_q1(),
-            "rhs_at_q1": rhs.at_q1(),
+            "rhs_at_q1": rhs_q1,
             "correct_q1_lhs": correct_q1,
         },
     )

@@ -387,6 +387,31 @@ def test_fibers_print_letters_outside_the_letter_table(capsys, sigma, letters):
     assert sorted(json.loads(out)["vectors"]) == [[a] for a in letters]
 
 
+# SHA-256 of the --format json output of verify on grids with both m < n and m >= n, and of
+# missing, recorded from reports that stored each term and census count rather than deriving them
+JSON_DIGESTS = {
+    "verify --identity worpitzky-a --n-range 1..6 --m-range 0..8 --format json":
+        "eaeda2e4c62074234e6654dd766787a151f72d4cc7e2b146e5476f444ae38ab8",
+    "verify --identity worpitzky-b --n-range 1..4 --m-range 0..5 --format json":
+        "a2fdcfbeed6a09e7c0af1b84f15cb9fc0db39e0df67ddd2cb18f4654c8e3715c",
+    "verify --identity worpitzky-d --n-range 2..7 --m-range 0..9 --format json":
+        "e73e3ca8a295acd692c1ddbb41269de6fa7a8e382514aa6982f394762ed8adbe",
+    "verify --identity balance-d --n-range 2..4 --m-range 0..5 --format json":
+        "af6272f6b6301b28353b6e19246b590331e951e2af01606aba079ee33e543caa",
+    "verify --identity erratum-d --n-range 2..7 --m-range 0..9 --format json":
+        "03bdcd53ee40ed1b40dc5f2687cfe3a7ec63e07b7f69ec89354f95133df1fdb9",
+    "missing --n 4 --m 2 --format json":
+        "0665625e17d6fb57d70c53a3d228c4715ef5eec5c4473be5953a0e2b78a26b1d",
+}
+
+
+@pytest.mark.parametrize("command", JSON_DIGESTS)
+def test_json_output_matches_the_recorded_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]
+
+
 def test_fibers_workload_output_matches_the_bench_goldens(capsys):
     # the bytes of the benchmark's fibers commands, checked here as well
     with open(Path(__file__).resolve().parents[1] / "bench" / "goldens.json", encoding="utf-8") as f:

@@ -172,7 +172,7 @@ def test_transfer_dp_against_closed_forms_beyond_the_oracle(n):
         assert verify_worpitzky_a(n, k).passed
     # m = 0..n pins down every entry: the C(n+m-k, n) system is triangular
     for m in range(n + 1):
-        rhs, _ = rhs_eulerian_sum(eulerian_row_b_q(n).entries, n, m)
+        rhs = rhs_eulerian_sum(eulerian_row_b_q(n).entries, n, m)
         assert rhs == QPolynomial((1 + m, m)) ** n
         assert verify_worpitzky_d_q1(n, m).passed
 

@@ -15,7 +15,7 @@ import pytest
 import worpitzky
 from worpitzky import map_d
 from worpitzky.exactnum import ONE_PLUS_Q, QPolynomial
-from worpitzky.map_b import phi, phi_fibers
+from worpitzky.map_b import fiber_writer, phi, phi_fibers, verify_worpitzky_a, verify_worpitzky_b
 from worpitzky.map_d import (
     MISSING_CASES,
     erratum_report_d,
@@ -38,7 +38,7 @@ from worpitzky.map_d import (
     verify_worpitzky_d_q1,
 )
 from worpitzky.signed_perm import SignedPermutation, _descent_table, _signs, enumerate_bn, enumerate_dn
-from worpitzky.sigma_vectors import enumerate_vectors, neg2_vec, position_code
+from worpitzky.sigma_vectors import enumerate_vectors, format_vector, neg2_vec, position_code
 
 
 def test_psi_flip_example():
@@ -263,11 +263,17 @@ def test_fiber_report_json_writer_is_json_dumps(group):
     ]
     # a failing report covers the writer's false branch
     reports.append(reports[-1]._replace(passed=False))
+
+    def written(report, vectors):
+        head, rest = fiber_writer("json", report.group, report.m, vectors)
+        fields = report.expected_size, report.oracle_size, report.passed, report.vectors
+        return head + format_vector(report.sigma.window) + rest(*fields)
+
     for report in reports:
         payload = report.to_json_dict()
-        assert report.to_json(True) == json.dumps(payload)
+        assert written(report, True) == json.dumps(payload)
         del payload["vectors"]
-        assert report.to_json(False) == json.dumps(payload)
+        assert written(report, False) == json.dumps(payload)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -752,10 +758,30 @@ def test_erratum_confirmed(n, m):
     assert report.extras["correct_q1_lhs"] == report.extras["rhs_at_q1"]
 
 
+@pytest.mark.parametrize(
+    "verify, least_n",
+    [(verify_worpitzky_a, 1), (verify_worpitzky_b, 1), (verify_worpitzky_d_q1, 2), (verify_balance_d_q, 2)],
+    ids=["worpitzky-a", "worpitzky-b", "worpitzky-d", "balance-d"],
+)
+def test_terms_derived_from_the_row_sum_to_the_right_side(verify, least_n):
+    for n in range(least_n, 9):
+        for m in range(n + 2):
+            report = verify(n, m)
+            terms = report.terms
+            assert len(terms) == len(report.row) > 0
+            assert [(k, entry) for k, _, entry, _ in terms] == list(enumerate(report.row))
+            # balance-d sums its row into the associated part; its right side adds the missing weight
+            rhs = report.extras["associated"] if "associated" in report.extras else report.rhs
+            assert sum((contribution for *_, contribution in terms), 0 * rhs) == rhs, (n, m)
+
+
 def test_erratum_report_values():
     report = erratum_report_d(2, 1)
     assert report.extras["printed_at_q1"] == 2
     assert report.extras["rhs_at_q1"] == 5
+    # the probe keeps no row, so its JSON has no terms
+    assert report.row == report.terms == ()
+    assert "terms" not in report.to_json_dict()
 
 
 def test_type_d_identities_at_n20():
