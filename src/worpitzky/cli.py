@@ -41,7 +41,7 @@ class UsageError(Exception):
 
 # Work bound of a verify or missing grid, summed over its (n, m) cells: a
 # fold's steps (sigma_vectors.fold_steps) and n (50 + m/4) steps per report.
-# On a 2-CPU Xeon with Python 3.11.7 a fold step took 0.03-0.30 us in `missing`,
+# On a 2-CPU Xeon with Python 3.11.7 a fold step took 0.016-0.20 us in `missing`,
 # 0.06-0.25 us in worpitzky-b and 0.001-0.02 us in balance-d (n = 8 down to 2), and
 # a report past its fold 2-14 us at n = 2 and 17-230 us at n = 50 (m = 0), plus per
 # unit of m up to 10 us while m <= n (erratum-d at n = 50) and 1.9 us past it.

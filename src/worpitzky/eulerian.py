@@ -22,7 +22,7 @@ from math import factorial
 from operator import methodcaller
 from typing import NamedTuple
 
-from .exactnum import QPolynomial, _cell_bits, _pack, _unpack
+from .exactnum import QPolynomial, _cell_bits, _parities, _unpack
 # enumerate_bn/enumerate_dn stay importable from here: bench/test_bench.py reads eulerian.enumerate_dn
 from .signed_perm import SignedPermutation, _elements, enumerate_bn, enumerate_dn  # noqa: F401
 
@@ -93,7 +93,7 @@ def enumerated_row(group: str, n: int) -> EulerianRow:
 # one cell width for every row: a coefficient counts windows of B_n, at most 2^n n!
 _K = _cell_bits(2**MAX_ROW_N * factorial(MAX_ROW_N))
 # the cells of q^0, q^2, ... and of q^1, q^3, ...: a window of D_n has an even neg, and neg2 = neg - [sigma_1 < 0]
-_EVEN_ODD = tuple(_pack([(1 << _K) - 1, 0] * (MAX_ROW_N // 2 + 1), _K) << _K * odd for odd in (0, 1))
+_EVEN_ODD = _parities(_K, MAX_ROW_N + 1)
 # per DP kind, "A" or "BD", its frontier (N, layer); per row (group, n) behind it, its packed totals
 _frontiers, _totals = {}, {}
 

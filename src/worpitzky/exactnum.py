@@ -5,28 +5,19 @@ Integers are plain Python ints (arbitrary precision), rationals are
 hand-rolled structure is :class:`QPolynomial`, a dense polynomial in the
 formal variable q with integer coefficients, kept in canonical form
 (trailing zero coefficients trimmed).  Kronecker packing has its one home here:
-a q-polynomial held in one int, K bits (``_cell_bits``) a coefficient, so q is a
-shift by K and a product of polynomials is one of ints.  QPolynomial's products
-and powers, the row DP and the sweep folds all pack this way.
+a q-polynomial held in one int, K bits a coefficient, so q is a shift by K and a
+product of polynomials is one of ints.  Its helpers: the cell width ``_cell_bits``,
+``_pack``, ``_unpack``, the signed ``_unpack_signed`` and the masks of the even and
+the odd cells, ``_parities``.  QPolynomial's products and powers, the row DP, the
+sweep folds and the missing census all pack this way.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import count, repeat
+from math import comb as binom  # C(a, b) = 0 when b > a: sum_k C(n+m-k, n) row[k] drops the k > m terms
 from operator import lshift, neg, sub
 from typing import Iterable
-
-
-def binom(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b); zero when b > a.
-
-    The zero convention for b > a is load-bearing: sums of the form
-    sum_k C(n+m-k, n) * row[k] rely on vanishing terms when m < k.
-    """
-    if a < 0 or b < 0:
-        raise ValueError(f"binom requires nonnegative arguments, got ({a}, {b})")
-    return math.comb(a, b)
 
 
 def _cell_bits(bound: int) -> int:
@@ -43,6 +34,12 @@ def _unpack(packed: int, K: int, w: int) -> list[int]:
     """The w cells of K bits of ``packed``, lowest first: the coefficients of
     q^0..q^(w-1) of a polynomial packed with each coefficient below 2^K."""
     return [packed >> K * k & (1 << K) - 1 for k in range(w)]
+
+
+def _parities(K: int, w: int) -> tuple[int, int]:
+    """The masks of the even and of the odd cells among w cells of K bits."""
+    cells = [(1 << K) - 1, 0] * (w // 2 + 1)
+    return _pack(cells[:w], K), _pack(cells[1:w + 1], K)
 
 
 def _unpack_signed(packed: int, K: int, w: int) -> list[int]:

@@ -44,7 +44,7 @@ from operator import add, countOf, gt, itemgetter, mul, ne
 from typing import Iterator, NamedTuple
 
 from .bernoulli import power_sum, worpitzky_d_lhs
-from .exactnum import ONE_PLUS_Q, QPolynomial, _unpack, binom
+from .exactnum import ONE_PLUS_Q, QPolynomial, _parities, _unpack, binom
 from .eulerian import eulerian_row_d_q
 from .map_b import FiberReport, IdentityReport, _json_value, decode_abs_chains, phi, rhs_eulerian_sum
 from .signed_perm import SignedPermutation, _descent_table, _sigma0, _signs
@@ -492,7 +492,10 @@ class MissingCensus(NamedTuple):
 
 def _census_fold(n: int, m: int) -> list[int]:
     """One block of n+1 cells per missing case and a last one for the
-    associated vectors; cell k of a block counts its vectors with neg2 = k."""
+    associated vectors; cell k of a block counts its vectors with neg2 = k.
+    A class pair's packed counts by neg go, even cells and odd cells apart, to the
+    block ``_code_case`` names for each parity, one cell down when sigma_1 < 0 (neg2
+    = neg - [sigma_1 < 0]): a block is one packed weight, unpacked once."""
     w = n + 1
     # _code_case reads a code's entry and sign from it mod w^2 and a zero from a code below
     # w^2, so vectors are tallied by their two smallest codes' classes, under 2 w^2 of them
@@ -511,13 +514,12 @@ def _census_fold(n: int, m: int) -> list[int]:
             pairs[ka, k] = pairs.get((ka, k), 0) + shifted[f]
         if j < len(last):  # the codes above b leave the pair (a, b)
             pairs[ka, kb] = pairs.get((ka, kb), 0) + packed * tail[j]
-    cells = [0] * ((len(MISSING_CASES) + 1) * w)
+    blocks = [0] * (len(MISSING_CASES) + 1)
+    parities = _parities(K, w)
     for (k1, k2), packed in pairs.items():
-        # the block by neg's parity, less 1 when sigma_1 < 0: adding neg gives neg2's cell
-        offsets = [_code_case(n, k1, k2, odd) * w - k1 % w for odd in (0, 1)]
-        for neg, count in enumerate(_unpack(packed, K, w)):
-            cells[offsets[neg & 1] + neg] += count
-    return cells
+        for odd, mask in enumerate(parities):  # k1 % w is sigma_1's sign bit
+            blocks[_code_case(n, k1, k2, odd)] += (packed & mask) >> K * (k1 % w)
+    return [cell for block in blocks for cell in _unpack(block, K, w)]
 
 
 def missing_census(n: int, m: int) -> MissingCensus:

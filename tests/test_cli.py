@@ -402,6 +402,9 @@ JSON_DIGESTS = {
         "03bdcd53ee40ed1b40dc5f2687cfe3a7ec63e07b7f69ec89354f95133df1fdb9",
     "missing --n 4 --m 2 --format json":
         "0665625e17d6fb57d70c53a3d228c4715ef5eec5c4473be5953a0e2b78a26b1d",
+    # past the census tests' brute reach (n <= 5), recorded from the census that scattered each cell by neg's parity
+    "missing --n 14 --m 4 --format json":
+        "935b50119695753f734cd85ceed84d599502d85570ae2d864c9da552f10683f6",
 }
 
 

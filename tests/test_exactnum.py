@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from worpitzky.exactnum import ONE_PLUS_Q, Q, QPolynomial, binom
+from worpitzky.exactnum import ONE_PLUS_Q, Q, QPolynomial, _pack, _parities, _unpack, binom
 
 small_polys = st.lists(st.integers(-8, 8), max_size=5).map(QPolynomial)
 # signed coefficients where a packed cell one bit too narrow, or a lost borrow,
@@ -114,6 +114,18 @@ def test_packed_power_equals_repeated_schoolbook_products(a, e):
     for _ in range(e):
         want = schoolbook(want.coeffs, a)
     assert QPolynomial(a) ** e == want
+
+
+@given(st.integers(1, 70).flatmap(lambda K: st.tuples(st.just(K), st.lists(st.integers(0, 2**K - 1), min_size=1, max_size=60))))
+def test_parity_masks_split_the_cells_by_index(case):
+    K, cs = case
+    w = len(cs)
+    even, odd = _parities(K, w)
+    assert even & odd == 0
+    assert even | odd == (1 << K * w) - 1
+    p = _pack(cs, K)
+    assert _unpack(p & even, K, w) == [c if k % 2 == 0 else 0 for k, c in enumerate(cs)]
+    assert _unpack(p & odd, K, w) == [c if k % 2 else 0 for k, c in enumerate(cs)]
 
 
 @given(coefficients, coefficient_lists)
